@@ -129,19 +129,6 @@ func BenchmarkScalars(b *testing.B) {
 	b.ReportMetric(s.Median93Static, "medianRelErr@93static")
 }
 
-func BenchmarkAblationDemux(b *testing.B) {
-	cfg := rlir.DefaultFatTreeConfig()
-	cfg.Duration = benchScale().Duration / 2
-	var results []rlir.FatTreeResult
-	for i := 0; i < b.N; i++ {
-		results = rlir.AblationDemux(cfg)
-	}
-	renderOnce("A1", rlir.RenderAblationDemux(results))
-	for _, r := range results {
-		b.ReportMetric(r.Misattribution, "misattrib/"+r.Config.Strategy.String())
-	}
-}
-
 func BenchmarkAblationEstimators(b *testing.B) {
 	var rows []rlir.EstimatorRow
 	for i := 0; i < b.N; i++ {

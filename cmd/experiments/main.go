@@ -25,6 +25,7 @@ import (
 	"time"
 
 	rlir "github.com/netmeasure/rlir"
+	"github.com/netmeasure/rlir/internal/scenario"
 )
 
 // validTargets is every -fig value, in -all order. An unknown -fig exits
@@ -191,9 +192,11 @@ func run(target string, sc rlir.Scale) error {
 	case "scalars":
 		fmt.Print(rlir.RunScalars(sc).Render())
 	case "A1":
-		cfg := rlir.DefaultFatTreeConfig()
-		cfg.Seed = sc.Seed
-		fmt.Print(rlir.RenderAblationDemux(rlir.AblationDemux(cfg)))
+		results, err := demuxAblation(demuxSpec(sc.Seed))
+		if err != nil {
+			return err
+		}
+		fmt.Print(renderDemuxAblation(results))
 	case "A2":
 		fmt.Print(rlir.RenderEstimators(rlir.AblationEstimators(sc, 0.8)))
 	case "A3":
@@ -228,9 +231,11 @@ func runMulti(target string, sc rlir.Scale, opts rlir.MultiOpts) error {
 	case "scalars":
 		fmt.Print(rlir.MultiScalars(sc, opts).Render())
 	case "A1":
-		cfg := rlir.DefaultFatTreeConfig()
-		cfg.Seed = sc.Seed
-		fmt.Print(rlir.RenderDemuxCI(rlir.MultiDemux(cfg, opts), opts.Seeds))
+		rows, err := demuxAblationMulti(demuxSpec(sc.Seed), scenario.MultiOpts{Seeds: opts.Seeds, Workers: opts.Workers})
+		if err != nil {
+			return err
+		}
+		fmt.Print(renderDemuxAblationMulti(rows))
 	case "A2":
 		fmt.Print(rlir.RenderEstimatorsCI(rlir.MultiEstimators(sc, 0.8, opts), opts.Seeds))
 	case "A3":

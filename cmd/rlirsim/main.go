@@ -1,11 +1,11 @@
-// Command rlirsim runs a single RLIR simulation and prints per-flow
-// accuracy results: either the paper's two-switch tandem (Figure 3) or a
-// full k-ary fat-tree deployment (Figure 1).
+// Command rlirsim runs a single RLIR simulation of the paper's two-switch
+// tandem (Figure 3) and prints per-flow accuracy results. Fat-tree
+// deployments (Figure 1) run on the scenario engine: see cmd/scenario
+// (for example "scenario -run ecmp-skew" or "scenario -spec file.json").
 //
 // Usage:
 //
-//	rlirsim -topology tandem -scheme static -model random -util 0.93
-//	rlirsim -topology fattree -k 4 -demux reverse-ecmp
+//	rlirsim -scheme static -model random -util 0.93
 //	rlirsim -cpuprofile cpu.pprof -memprofile mem.pprof   # go tool pprof output
 package main
 
@@ -28,12 +28,10 @@ import (
 // listing the valid ones (the same contract cmd/experiments pins for
 // -fig).
 var (
-	validTopologies = []string{"tandem", "fattree"}
 	validSchemes    = []string{"static", "adaptive", "none"}
 	validModels     = []string{"random", "bursty", "none"}
 	validScales     = []string{"small", "default", "full"}
 	validEstimators = []string{"linear", "left", "right", "nearest"}
-	validDemuxes    = []string{"none", "marking", "reverse-ecmp", "oracle"}
 )
 
 func main() {
@@ -45,7 +43,6 @@ func main() {
 
 // options is the parsed command line.
 type options struct {
-	topology   string
 	scheme     string
 	staticN    int
 	model      string
@@ -53,8 +50,6 @@ type options struct {
 	scale      string
 	seed       int64
 	estName    string
-	k          int
-	demux      string
 	duration   time.Duration
 	topn       int
 	cpuprofile string
@@ -73,16 +68,13 @@ func parseArgs(args []string) (options, error) {
 	var o options
 	fs := flag.NewFlagSet("rlirsim", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
-	fs.StringVar(&o.topology, "topology", "tandem", strings.Join(validTopologies, " | "))
 	fs.StringVar(&o.scheme, "scheme", "static", strings.Join(validSchemes, " | "))
 	fs.IntVar(&o.staticN, "n", 100, "static scheme's 1-and-n gap")
-	fs.StringVar(&o.model, "model", "random", strings.Join(validModels, " | ")+" (tandem)")
-	fs.Float64Var(&o.util, "util", 0.93, "target bottleneck utilization (tandem)")
+	fs.StringVar(&o.model, "model", "random", strings.Join(validModels, " | "))
+	fs.Float64Var(&o.util, "util", 0.93, "target bottleneck utilization")
 	fs.StringVar(&o.scale, "scale", "default", strings.Join(validScales, " | "))
 	fs.Int64Var(&o.seed, "seed", 1, "deterministic seed")
 	fs.StringVar(&o.estName, "estimator", "linear", strings.Join(validEstimators, " | "))
-	fs.IntVar(&o.k, "k", 4, "fat-tree arity (fattree)")
-	fs.StringVar(&o.demux, "demux", "reverse-ecmp", strings.Join(validDemuxes, " | ")+" (fattree)")
 	fs.DurationVar(&o.duration, "duration", 0, "override trace duration")
 	fs.IntVar(&o.topn, "top", 10, "per-flow rows to print")
 	fs.StringVar(&o.cpuprofile, "cpuprofile", "", "write a CPU profile to this file (go tool pprof)")
@@ -94,8 +86,6 @@ func parseArgs(args []string) (options, error) {
 		return o, fmt.Errorf("unexpected arguments %q", fs.Args())
 	}
 	switch {
-	case !slices.Contains(validTopologies, o.topology):
-		return o, badValue("topology", o.topology, validTopologies)
 	case !slices.Contains(validSchemes, o.scheme):
 		return o, badValue("scheme", o.scheme, validSchemes)
 	case !slices.Contains(validModels, o.model):
@@ -104,8 +94,6 @@ func parseArgs(args []string) (options, error) {
 		return o, badValue("scale", o.scale, validScales)
 	case !slices.Contains(validEstimators, o.estName):
 		return o, badValue("estimator", o.estName, validEstimators)
-	case !slices.Contains(validDemuxes, o.demux):
-		return o, badValue("demux", o.demux, validDemuxes)
 	}
 	if o.staticN < 0 {
 		return o, fmt.Errorf("-n %d < 0", o.staticN)
@@ -129,14 +117,7 @@ func run(args []string, out io.Writer) error {
 		}
 		defer pprof.StopCPUProfile()
 	}
-	if o.topology == "tandem" {
-		err = runTandem(o, out)
-	} else {
-		err = runFatTree(o, out)
-	}
-	if err != nil {
-		return err
-	}
+	runTandem(o, out)
 	if o.memprofile != "" {
 		f, ferr := os.Create(o.memprofile)
 		if ferr != nil {
@@ -195,7 +176,7 @@ func pickEstimator(o options) core.Estimator {
 	}
 }
 
-func runTandem(o options, out io.Writer) error {
+func runTandem(o options, out io.Writer) {
 	sc := pickScale(o)
 	sc.Seed = o.seed
 	if o.duration > 0 {
@@ -230,34 +211,4 @@ func runTandem(o options, out io.Writer) error {
 	fmt.Fprint(out, core.FormatResults(res.Results, o.topn))
 	fmt.Fprintln(out)
 	fmt.Fprint(out, rlir.MeanErrCDF(res.Results).Render("relative error (mean estimates)", 1e-3, 1e1, 9))
-	return nil
-}
-
-func runFatTree(o options, out io.Writer) error {
-	cfg := rlir.DefaultFatTreeConfig()
-	cfg.K = o.k
-	cfg.Seed = o.seed
-	if o.duration > 0 {
-		cfg.Duration = o.duration
-	}
-	cfg.Scheme = pickScheme(o)
-	switch o.demux {
-	case "none":
-		cfg.Strategy = rlir.DemuxNone
-	case "marking":
-		cfg.Strategy = rlir.DemuxMark
-	case "reverse-ecmp":
-		cfg.Strategy = rlir.DemuxReverseECMP
-	case "oracle":
-		cfg.Strategy = rlir.DemuxOracle
-	default:
-		panic("rlirsim: -demux " + o.demux + " validated but not dispatched")
-	}
-
-	res := rlir.RunFatTree(cfg)
-	fmt.Fprintf(out, "fat-tree k=%d, demux=%s, injected=%d packets\n", o.k, cfg.Strategy, res.Injected)
-	fmt.Fprintf(out, "downstream (core->ToR): %s\n", res.Downstream)
-	fmt.Fprintf(out, "upstream   (ToR->core): %s\n", res.Upstream)
-	fmt.Fprintf(out, "misattribution: %.4f\n", res.Misattribution)
-	return nil
 }

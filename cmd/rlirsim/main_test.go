@@ -18,13 +18,10 @@ func TestParseArgsValidation(t *testing.T) {
 		lists []string // values the error must enumerate
 	}{
 		{"defaults", nil, "", nil},
-		{"fattree", []string{"-topology", "fattree", "-demux", "oracle"}, "", nil},
-		{"bad topology", []string{"-topology", "ring"}, `-topology "ring"`, validTopologies},
 		{"bad scheme", []string{"-scheme", "exotic"}, `-scheme "exotic"`, validSchemes},
 		{"bad model", []string{"-model", "fractal"}, `-model "fractal"`, validModels},
 		{"bad scale", []string{"-scale", "galactic"}, `-scale "galactic"`, validScales},
 		{"bad estimator", []string{"-estimator", "cubic"}, `-estimator "cubic"`, validEstimators},
-		{"bad demux", []string{"-demux", "psychic"}, `-demux "psychic"`, validDemuxes},
 		{"negative gap", []string{"-n", "-3"}, "-n", nil},
 		{"unknown flag", []string{"-frobnicate"}, "frobnicate", nil},
 		{"stray args", []string{"extra"}, "unexpected arguments", nil},
@@ -55,7 +52,7 @@ func TestParseArgsValidation(t *testing.T) {
 // means a non-zero exit with the valid values on stderr.
 func TestMainExitsNonZeroOnUnknownValue(t *testing.T) {
 	if os.Getenv("RLIRSIM_MAIN_PROBE") == "1" {
-		os.Args = []string{"rlirsim", "-topology", "ring"}
+		os.Args = []string{"rlirsim", "-model", "fractal"}
 		main()
 		return // unreachable: main must have exited non-zero
 	}
@@ -63,14 +60,14 @@ func TestMainExitsNonZeroOnUnknownValue(t *testing.T) {
 	cmd.Env = append(os.Environ(), "RLIRSIM_MAIN_PROBE=1")
 	out, err := cmd.CombinedOutput()
 	if err == nil {
-		t.Fatalf("main accepted an unknown -topology; output:\n%s", out)
+		t.Fatalf("main accepted an unknown -model; output:\n%s", out)
 	}
 	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() == 0 {
 		t.Fatalf("expected a non-zero exit, got %v; output:\n%s", err, out)
 	}
-	for _, v := range validTopologies {
+	for _, v := range validModels {
 		if !strings.Contains(string(out), v) {
-			t.Fatalf("failure output does not list topology %q:\n%s", v, out)
+			t.Fatalf("failure output does not list model %q:\n%s", v, out)
 		}
 	}
 }

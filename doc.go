@@ -46,10 +46,11 @@
 //
 //   - Packet and flow identity (FlowKey, Addr, Prefix) and injection
 //     schemes (Static, Adaptive) — the paper's §3.2 mechanism surface.
-//   - Experiment harnesses (RunTandem, RunFatTree, RunLocalization, the
+//   - Experiment harnesses (RunTandem, RunLocalization, the
 //     Fig4*/Fig5/Scalars/Ablation* reproductions) and their Multi* seed
 //     sweeps — every figure and table of §4; EXPERIMENTS.md records the
-//     paper-vs-measured comparison.
+//     paper-vs-measured comparison. Fat-tree deployments run on the
+//     scenario engine below.
 //   - The unified estimator layer (MeasureEstimator, EstimatorNames,
 //     CompareEstimators): every measurement mechanism — RLI, LDA, NetFlow
 //     sampling, Multiflow — on one simulation pass, scored against shared
@@ -62,7 +63,7 @@
 //     stream wire frames into cmd/rlird, cmd/loadgen replays captured
 //     scenario traffic at line rate, operators query HTTP endpoints.
 //
-// Command front-ends: cmd/rlirsim (single runs), cmd/experiments (figures
+// Command front-ends: cmd/rlirsim (single tandem runs), cmd/experiments (figures
 // and ablations), cmd/scenario (the scenario registry), cmd/tracegen
 // (synthetic traces), cmd/placement (§3.1 deployment arithmetic),
 // cmd/rlird + cmd/loadgen (the streaming service and its load generator).

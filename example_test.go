@@ -26,15 +26,20 @@ func ExampleRunTandem() {
 	}
 }
 
-// ExampleRunFatTree deploys RLIR on a k=4 fat-tree: upstream senders at
-// ToR uplinks, receivers at cores, downstream demultiplexing by reverse
-// ECMP computation.
-func ExampleRunFatTree() {
-	cfg := rlir.DefaultFatTreeConfig()
-	cfg.Strategy = rlir.DemuxReverseECMP
-	res := rlir.RunFatTree(cfg)
-	fmt.Printf("downstream median error %.3f, misattribution %.0f%%\n",
-		res.Downstream.MedianRelErr, res.Misattribution*100)
+// ExampleRunScenario deploys RLIR on a k=4 fat-tree through the scenario
+// engine: upstream senders at ToR uplinks, receivers at cores, downstream
+// demultiplexing by reverse ECMP computation.
+func ExampleRunScenario() {
+	spec := rlir.DefaultScenarioSpec()
+	spec.Duration = 100 * time.Millisecond
+	spec.Deploy.Estimators = []string{"rli"}
+	res, err := rlir.RunScenario(spec)
+	if err != nil {
+		panic(err)
+	}
+	fmt.Printf("demux %s: %d flows, median error %.3f, misattribution %.0f%%\n",
+		spec.Deploy.Demux, res.Overall.Flows, res.Overall.MedianRelErr, res.Misattribution*100)
+	// Output: demux reverse-ecmp: 4201 flows, median error 0.299, misattribution 0%
 }
 
 // ExampleRunLocalization injects a 300µs fault at an aggregation switch

@@ -126,14 +126,14 @@ func main() {
 	// 6. Operator summary to stderr: collector stats, then the estimator
 	// comparison — every mechanism on this one pass, scored against the
 	// same ground truth.
-	var hist stats.Histogram
+	var sk stats.Sketch
 	for i := range snapshot {
-		hist.Merge(&snapshot[i].Hist)
+		sk.Merge(&snapshot[i].Sketch)
 	}
 	fmt.Fprintf(os.Stderr, "collector: %d flows, %d samples over %d shards\n",
 		len(snapshot), plane.SamplesIngested(), plane.Shards())
-	fmt.Fprintf(os.Stderr, "segment latency: p50<=%v p99<=%v max=%v\n",
-		hist.Quantile(0.5), hist.Quantile(0.99), hist.Max())
+	fmt.Fprintf(os.Stderr, "segment latency: p50=%v p99=%v max=%v\n",
+		sk.QuantileDuration(0.5), sk.QuantileDuration(0.99), time.Duration(sk.Max()))
 	fmt.Fprintf(os.Stderr, "bottleneck utilization: %.1f%%, regular loss: %.6f\n",
 		res.AchievedUtil*100, res.LossRate())
 

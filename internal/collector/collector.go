@@ -34,11 +34,9 @@ type FlowAgg struct {
 	Key packet.FlowKey
 	// Est / True accumulate per-packet estimated and ground-truth delays.
 	Est, True stats.Welford
-	// Hist is the log-bucketed histogram of estimated delays.
-	Hist stats.Histogram
 	// Sketch is the bounded-memory quantile sketch of estimated delays —
-	// the field quantile queries read (Hist remains for coarse
-	// distribution rendering). Its merges are bit-exact under any order.
+	// the flow's one distribution aggregate, read by quantile queries. Its
+	// merges are bit-exact under any order.
 	Sketch stats.Sketch
 	// Packets / Bytes / First / Last mirror NetFlow record fields, summed
 	// over ingested records (zero when no record mentioned the flow).
@@ -49,7 +47,6 @@ type FlowAgg struct {
 func (a *FlowAgg) addSample(s Sample) {
 	a.Est.Add(float64(s.Est))
 	a.True.Add(float64(s.True))
-	a.Hist.Record(s.Est)
 	a.Sketch.Record(s.Est)
 }
 
@@ -68,7 +65,6 @@ func (a *FlowAgg) addRecord(r netflow.Record) {
 func (a *FlowAgg) merge(o *FlowAgg) {
 	a.Est.Merge(&o.Est)
 	a.True.Merge(&o.True)
-	a.Hist.Merge(&o.Hist)
 	a.Sketch.Merge(&o.Sketch)
 	if o.Packets > 0 {
 		if a.Packets == 0 || o.First < a.First {
@@ -377,6 +373,37 @@ func (c *Collector) shardOf(key packet.FlowKey) int {
 	return int(key.FastHash() % uint64(len(c.shards)))
 }
 
+// Partition copies batch into n order-preserving parts by owner, which
+// must return a value in [0, n) and the same value for the same element.
+// The parts share one backing array sized to the batch, so a batch costs
+// one allocation rather than a growing slice per part; each part's
+// capacity ends at its length, so appending to one never writes into the
+// next.
+func Partition[T any](batch []T, n int, owner func(*T) int) [][]T {
+	next := make([]int, n+1)
+	for i := range batch {
+		next[owner(&batch[i])+1]++
+	}
+	for i := 1; i < n; i++ {
+		next[i] += next[i-1]
+	}
+	// next[o] is now where part o starts; filling advances it to where o
+	// ends.
+	buf := make([]T, len(batch))
+	for i := range batch {
+		o := owner(&batch[i])
+		buf[next[o]] = batch[i]
+		next[o]++
+	}
+	parts := make([][]T, n)
+	lo := 0
+	for i := range parts {
+		parts[i] = buf[lo:next[i]:next[i]]
+		lo = next[i]
+	}
+	return parts
+}
+
 // Ingest routes one batch of samples to the owning shards. The batch is
 // copied during partitioning; the caller may reuse it immediately. Blocks
 // only when a shard's bounded queue is full (back-pressure).
@@ -389,11 +416,7 @@ func (c *Collector) Ingest(batch []Sample) {
 	if c.closed {
 		panic("collector: Ingest after Close")
 	}
-	parts := make([][]Sample, len(c.shards))
-	for _, s := range batch {
-		i := c.shardOf(s.Key)
-		parts[i] = append(parts[i], s)
-	}
+	parts := Partition(batch, len(c.shards), func(s *Sample) int { return c.shardOf(s.Key) })
 	for i, p := range parts {
 		if len(p) > 0 {
 			c.shards[i].ch <- req{samples: p}
@@ -416,11 +439,7 @@ func (c *Collector) IngestRecords(recs []netflow.Record) {
 	if c.closed {
 		panic("collector: IngestRecords after Close")
 	}
-	parts := make([][]netflow.Record, len(c.shards))
-	for _, r := range recs {
-		i := c.shardOf(r.Key)
-		parts[i] = append(parts[i], r)
-	}
+	parts := Partition(recs, len(c.shards), func(r *netflow.Record) int { return c.shardOf(r.Key) })
 	for i, p := range parts {
 		if len(p) > 0 {
 			c.shards[i].ch <- req{records: p}
@@ -536,16 +555,6 @@ func (c *Collector) RollupSnapshot() Rollup {
 		}
 	}
 	return MergeRollups(parts...)
-}
-
-// AggregateHistogram merges every flow's estimate histogram into one
-// operator-facing latency distribution.
-func (c *Collector) AggregateHistogram() stats.Histogram {
-	var h stats.Histogram
-	for _, a := range c.Snapshot() {
-		h.Merge(&a.Hist)
-	}
-	return h
 }
 
 // Close stops the shard goroutines after draining queued batches. The

@@ -197,7 +197,7 @@ func TestMergeSnapshots(t *testing.T) {
 	}
 	for i := range merged {
 		g, w := merged[i], want[i]
-		if g.Key != w.Key || g.Est.N() != w.Est.N() || g.Hist.Count() != w.Hist.Count() {
+		if g.Key != w.Key || g.Est.N() != w.Est.N() || g.Sketch.Count() != w.Sketch.Count() {
 			t.Fatalf("flow %d: key/count mismatch: %+v vs %+v", i, g, w)
 		}
 		if d := math.Abs(g.Est.Mean() - w.Est.Mean()); d > 1e-9*math.Abs(w.Est.Mean()) {
@@ -229,5 +229,34 @@ func TestSnapshotCloseConcurrent(t *testing.T) {
 		}
 		c.Close()
 		wg.Wait()
+	}
+}
+
+// TestPartition pins Partition's contract: every element lands in its
+// owner's part in input order, the input is copied, and a part's capacity
+// ends at its length, so appending to one part cannot overwrite the next.
+func TestPartition(t *testing.T) {
+	batch := []int{5, 1, 8, 3, 0, 7, 2, 9, 4, 6, 13}
+	owner := func(x *int) int { return *x % 4 }
+	parts := Partition(batch, 4, owner)
+	want := [][]int{{8, 0, 4}, {5, 1, 9, 13}, {2, 6}, {3, 7}}
+	if !reflect.DeepEqual(parts, want) {
+		t.Fatalf("Partition = %v, want %v", parts, want)
+	}
+	batch[0] = -1
+	if parts[1][0] != 5 {
+		t.Fatal("Partition aliases its input")
+	}
+	for i, p := range parts {
+		if cap(p) != len(p) {
+			t.Fatalf("part %d has cap %d > len %d", i, cap(p), len(p))
+		}
+	}
+	_ = append(parts[0], 100)
+	if parts[1][0] != 5 {
+		t.Fatal("appending to part 0 overwrote part 1")
+	}
+	if got := Partition([]int{}, 3, owner); len(got) != 3 || len(got[0]) != 0 {
+		t.Fatalf("empty batch: %v", got)
 	}
 }

@@ -152,6 +152,16 @@ func RunLocalization(cfg LocalizationConfig) LocalizationResult {
 func upSegName(j, i int) string   { return fmt.Sprintf("T1->C(%d,%d)", j, i) }
 func downSegName(j, i int) string { return fmt.Sprintf("C(%d,%d)->T7", j, i) }
 
+// upstreamSenderID identifies the sender at ToR(p,e) uplink j.
+func upstreamSenderID(h, p, e, j int) core.SenderID {
+	return core.SenderID(1000 + ((p*h+e)*h + j))
+}
+
+// downstreamSenderID identifies the sender at core (j,i).
+func downstreamSenderID(h, j, i int) core.SenderID {
+	return core.SenderID(2000 + j*h + i)
+}
+
 // runLocalizationPass builds the fat-tree, instruments per-core segments,
 // optionally injects the fault, replays the workload and returns segments.
 // The returned core.Segment list is ordered: upstream (j,i) then downstream

@@ -38,54 +38,15 @@ func (o MultiOpts) normalized() MultiOpts {
 	return o
 }
 
-// MetricCI is one metric's across-seed distribution: mean ± 95% CI
-// (Student-t) over N independent runs.
-type MetricCI struct {
-	Mean, CI95 float64
-	Min, Max   float64
-	N          int
-}
-
-// MetricOf folds independent per-seed samples into a mean ± 95% CI metric.
-// Exported so other sweep harnesses (internal/scenario) share one
-// implementation of the across-seed statistic.
-func MetricOf(samples []float64) MetricCI {
-	var w stats.Welford
-	m := MetricCI{}
-	for _, x := range samples {
-		if w.N() == 0 || x < m.Min {
-			m.Min = x
-		}
-		if w.N() == 0 || x > m.Max {
-			m.Max = x
-		}
-		w.Add(x)
-	}
-	m.Mean = w.Mean()
-	m.CI95 = w.CI95()
-	m.N = int(w.N())
-	return m
-}
-
-func (m MetricCI) String() string {
-	if m.N == 0 {
-		return "n/a"
-	}
-	if m.N == 1 {
-		return fmt.Sprintf("%.4f", m.Mean)
-	}
-	return fmt.Sprintf("%.4f ±%.4f", m.Mean, m.CI95)
-}
-
-// column folds column i of per-seed metric rows into a MetricCI.
-func column(rows [][]float64, i int) MetricCI {
+// column folds column i of per-seed metric rows into a stats.MetricCI.
+func column(rows [][]float64, i int) stats.MetricCI {
 	xs := make([]float64, 0, len(rows))
 	for _, r := range rows {
 		if i < len(r) {
 			xs = append(xs, r[i])
 		}
 	}
-	return MetricOf(xs)
+	return stats.MetricOf(xs)
 }
 
 // ---- Multi-seed tandem ----
@@ -96,9 +57,9 @@ type MultiTandemResult struct {
 	Seeds   []int64
 	PerSeed []core.Summary
 	// Across-seed distributions of the run's headline scalars.
-	MedianRelErr, P90RelErr, FracUnder10Pct MetricCI
-	AchievedUtil                            MetricCI
-	TrueMeanDelayUs                         MetricCI
+	MedianRelErr, P90RelErr, FracUnder10Pct stats.MetricCI
+	AchievedUtil                            stats.MetricCI
+	TrueMeanDelayUs                         stats.MetricCI
 	// Merged is the fleet-level per-flow aggregate: each run streams its
 	// estimates into a per-run collector plane; snapshots merge in seed
 	// order (deterministic for any worker count).
@@ -168,7 +129,7 @@ func MultiTandem(cfg TandemConfig, opts MultiOpts) MultiTandemResult {
 // MultiSeries is one figure curve summarized across seeds.
 type MultiSeries struct {
 	Label                       string
-	Median, P90, FracUnder10Pct MetricCI
+	Median, P90, FracUnder10Pct stats.MetricCI
 }
 
 // MultiFigure is a figure re-recorded as across-seed statistics: instead of
@@ -232,9 +193,9 @@ func multiFigure(fig func(Scale) Figure, scale Scale, opts MultiOpts) MultiFigur
 		}
 		out.Series = append(out.Series, MultiSeries{
 			Label:          ref.Label,
-			Median:         MetricOf(med),
-			P90:            MetricOf(p90),
-			FracUnder10Pct: MetricOf(under),
+			Median:         stats.MetricOf(med),
+			P90:            stats.MetricOf(p90),
+			FracUnder10Pct: stats.MetricOf(under),
 		})
 	}
 	return out
@@ -266,12 +227,12 @@ func Fig4cMulti(scale Scale, opts MultiOpts) MultiFigure {
 // ScalarsCI re-records the §4.2 quoted numbers across seeds.
 type ScalarsCI struct {
 	SeedCount        int
-	BaseUtil         MetricCI
-	AdaptiveGap      MetricCI
-	TrueMean67Random MetricCI // microseconds
-	TrueMean93Random MetricCI
-	TrueMean67Bursty MetricCI
-	Median93Static   MetricCI
+	BaseUtil         stats.MetricCI
+	AdaptiveGap      stats.MetricCI
+	TrueMean67Random stats.MetricCI // microseconds
+	TrueMean93Random stats.MetricCI
+	TrueMean67Bursty stats.MetricCI
+	Median93Static   stats.MetricCI
 }
 
 // MultiScalars measures the scalar table at every derived seed.
@@ -319,7 +280,7 @@ func (s ScalarsCI) Render() string {
 // EstimatorCI is one line of the multi-seed A2 table.
 type EstimatorCI struct {
 	Estimator   core.Estimator
-	Median, P90 MetricCI
+	Median, P90 stats.MetricCI
 }
 
 // MultiEstimators re-records ablation A2 across seeds.
@@ -340,8 +301,8 @@ func MultiEstimators(scale Scale, targetUtil float64, opts MultiOpts) []Estimato
 		}
 		out = append(out, EstimatorCI{
 			Estimator: ref.Estimator,
-			Median:    MetricOf(med),
-			P90:       MetricOf(p90),
+			Median:    stats.MetricOf(med),
+			P90:       stats.MetricOf(p90),
 		})
 	}
 	return out
@@ -361,8 +322,8 @@ func RenderEstimatorsCI(rows []EstimatorCI, seedCount int) string {
 // ClockCI is one line of the multi-seed A3 table.
 type ClockCI struct {
 	Clock      string
-	Median     MetricCI
-	TrueMeanUs MetricCI
+	Median     stats.MetricCI
+	TrueMeanUs stats.MetricCI
 }
 
 // MultiClocks re-records ablation A3 across seeds.
@@ -402,10 +363,10 @@ func RenderClocksCI(rows []ClockCI, seedCount int) string {
 // BaselineCI re-records B1 across seeds.
 type BaselineCI struct {
 	SeedCount       int
-	RLIRMedian      MetricCI
-	MultiflowMedian MetricCI
-	SampledMedian   MetricCI
-	LDAMeanErr      MetricCI
+	RLIRMedian      stats.MetricCI
+	MultiflowMedian stats.MetricCI
+	SampledMedian   stats.MetricCI
+	LDAMeanErr      stats.MetricCI
 }
 
 // MultiBaselines re-records ablation B1 across seeds.
@@ -439,48 +400,6 @@ func (r BaselineCI) Render() string {
 	return b.String()
 }
 
-// DemuxCI is one line of the multi-seed A1 table.
-type DemuxCI struct {
-	Strategy         DemuxStrategy
-	Misattribution   MetricCI
-	DownstreamMedian MetricCI
-}
-
-// MultiDemux re-records ablation A1 across seeds.
-func MultiDemux(cfg FatTreeConfig, opts MultiOpts) []DemuxCI {
-	opts = opts.normalized()
-	seeds := runner.Seeds(cfg.Seed, opts.Seeds)
-	per := runner.Map(seeds, opts.Workers, func(i int, seed int64) []FatTreeResult {
-		c := cfg
-		c.Seed = seed
-		return AblationDemux(c)
-	})
-	var out []DemuxCI
-	for si, ref := range per[0] {
-		var rows [][]float64
-		for _, p := range per {
-			rows = append(rows, []float64{p[si].Misattribution, p[si].Downstream.MedianRelErr})
-		}
-		out = append(out, DemuxCI{
-			Strategy:         ref.Config.Strategy,
-			Misattribution:   column(rows, 0),
-			DownstreamMedian: column(rows, 1),
-		})
-	}
-	return out
-}
-
-// RenderDemuxCI formats multi-seed A1.
-func RenderDemuxCI(rows []DemuxCI, seedCount int) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "== A1: downstream demultiplexing (mean ±95%% CI over %d seeds) ==\n", seedCount)
-	fmt.Fprintf(&b, "%-14s %-20s %-20s\n", "strategy", "misattribution", "downstreamMedian")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-14s %-20s %-20s\n", r.Strategy, r.Misattribution, r.DownstreamMedian)
-	}
-	return b.String()
-}
-
 // LocalizationCI re-records L1 across seeds.
 type LocalizationCI struct {
 	SeedCount int
@@ -489,7 +408,7 @@ type LocalizationCI struct {
 	SuccessRate float64
 	// FaultyInflation is the across-seed distribution of the mean
 	// faulty/baseline latency ratio over the truly faulty segments.
-	FaultyInflation MetricCI
+	FaultyInflation stats.MetricCI
 }
 
 // MultiLocalization re-records the L1 scenario across seeds.
@@ -529,7 +448,7 @@ func MultiLocalization(cfg LocalizationConfig, opts MultiOpts) LocalizationCI {
 		}
 		inflations = append(inflations, o.inflation)
 	}
-	res.FaultyInflation = MetricOf(inflations)
+	res.FaultyInflation = stats.MetricOf(inflations)
 	return res
 }
 

@@ -89,13 +89,3 @@ func TestMultiTandemStatistics(t *testing.T) {
 		t.Fatalf("merged collector holds %d estimates, per-seed summaries total %d", merged, perSeed)
 	}
 }
-
-func TestMetricOf(t *testing.T) {
-	m := MetricOf([]float64{1, 2, 3})
-	if m.N != 3 || m.Mean != 2 || m.Min != 1 || m.Max != 3 {
-		t.Fatalf("metricOf: %+v", m)
-	}
-	if m.String() == "" || MetricOf(nil).String() != "n/a" {
-		t.Fatalf("String rendering broken: %q / %q", m.String(), MetricOf(nil).String())
-	}
-}

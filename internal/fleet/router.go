@@ -217,11 +217,7 @@ func (r *Router) RouteSamples(batch []collector.Sample) {
 	if len(batch) == 0 {
 		return
 	}
-	parts := make([][]collector.Sample, len(r.workers))
-	for _, s := range batch {
-		i := r.sinkOf(s.Key)
-		parts[i] = append(parts[i], s)
-	}
+	parts := collector.Partition(batch, len(r.workers), func(s *collector.Sample) int { return r.sinkOf(s.Key) })
 	for i, p := range parts {
 		if len(p) > 0 {
 			r.enqueue(i, msg{samples: p}, uint64(len(p)))
@@ -235,11 +231,7 @@ func (r *Router) RouteRecords(recs []netflow.Record) {
 	if len(recs) == 0 {
 		return
 	}
-	parts := make([][]netflow.Record, len(r.workers))
-	for _, rec := range recs {
-		i := r.sinkOf(rec.Key)
-		parts[i] = append(parts[i], rec)
-	}
+	parts := collector.Partition(recs, len(r.workers), func(rec *netflow.Record) int { return r.sinkOf(rec.Key) })
 	for i, p := range parts {
 		if len(p) > 0 {
 			r.enqueue(i, msg{records: p}, uint64(len(p)))

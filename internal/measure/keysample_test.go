@@ -172,6 +172,44 @@ func TestPairSamplersEstimateFlows(t *testing.T) {
 	}
 }
 
+// TestPairSamplerFinalizeDeterministic requires a sampler's report to be a
+// pure function of the packets it tapped: per-flow folds merge into the
+// aggregate in flow-key order, never map order. Flows come in pairs whose
+// delays sit symmetrically around 1ms, so the exact aggregate mean is a
+// whole nanosecond; a merge order whose float rounding lands a hair below
+// it truncates to a different AggMean.
+func TestPairSamplerFinalizeDeterministic(t *testing.T) {
+	const base = time.Millisecond
+	for _, est := range []interface {
+		Estimator
+		StartTapper
+	}{NewSampled(1, 7), NewHashSampled(1, 12345), NewPeriodicSampled(1)} {
+		id := uint64(0)
+		for f := 0; f < 1000; f++ {
+			off := time.Duration((f/2*7919)%100000 + 1)
+			if f%2 == 1 {
+				off = -off
+			}
+			for j := 0; j <= f/2%5; j++ {
+				id++
+				p := packet.Packet{ID: id, Key: key(f), Size: 1000, Kind: packet.Regular}
+				est.TapStart(&p, 0)
+				est.Tap(&p, simtime.Time(base+off))
+			}
+		}
+		want := est.Finalize()
+		if len(want.Flows) != 1000 {
+			t.Fatalf("%s estimated %d flows, want 1000", est.Name(), len(want.Flows))
+		}
+		for i := 0; i < 100; i++ {
+			if got := est.Finalize(); got.AggMean != want.AggMean || got.AggSamples != want.AggSamples {
+				t.Fatalf("%s finalize %d: aggregate %v over %d samples, first call %v over %d",
+					est.Name(), i, got.AggMean, got.AggSamples, want.AggMean, want.AggSamples)
+			}
+		}
+	}
+}
+
 // BenchmarkHashSampleTap measures the secret-key sampler's per-packet tap
 // cost in steady state: two keyed hash evaluations on the fast path and the
 // pair-matching bookkeeping on the 1-in-32 sampled path. bench.sh records

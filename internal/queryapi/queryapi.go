@@ -7,8 +7,8 @@
 // through the same code: a fleet-of-N answer is byte-identical to the
 // single-node answer not by convention but because both call these
 // functions. The snapshot codec is the exact half: FlowState carries the
-// full internal accumulator state (stats.WelfordState, stats.HistogramState,
-// stats.SketchState) rather than derived summaries, and Go's JSON float
+// full internal accumulator state (stats.WelfordState, stats.SketchState)
+// rather than derived summaries, and Go's JSON float
 // encoding is shortest round-trip, so instance state crosses the HTTP
 // boundary bit-identically. Snapshots are schema-versioned
 // (SnapshotVersion); merging peers must Check before trusting one.
@@ -178,7 +178,7 @@ func WriteJSON(w http.ResponseWriter, status int, v any) {
 }
 
 // FlowState is one flow aggregate's complete internal state, the /snapshot
-// wire row. Unlike FlowJSON it loses nothing: the Welford and histogram
+// wire row. Unlike FlowJSON it loses nothing: the Welford and sketch
 // accumulators travel as their exact field values, and the 5-tuple travels
 // numerically, so DecodeSnapshot rebuilds collector.FlowAgg values
 // bit-identical to the instance's own.
@@ -189,10 +189,9 @@ type FlowState struct {
 	DstPort uint16 `json:"dst_port"`
 	Proto   uint8  `json:"proto"`
 
-	Est    stats.WelfordState   `json:"est"`
-	True   stats.WelfordState   `json:"true"`
-	Hist   stats.HistogramState `json:"hist"`
-	Sketch stats.SketchState    `json:"sketch"`
+	Est    stats.WelfordState `json:"est"`
+	True   stats.WelfordState `json:"true"`
+	Sketch stats.SketchState  `json:"sketch"`
 
 	Packets uint64 `json:"packets,omitempty"`
 	Bytes   uint64 `json:"bytes,omitempty"`
@@ -203,8 +202,10 @@ type FlowState struct {
 // SnapshotVersion is the current /snapshot schema version. Version 2 added
 // the per-flow quantile sketch state; a version-1 instance's snapshot lacks
 // it, and merging such a snapshot would silently produce empty sketch tiers
-// — so Check rejects any version mismatch outright instead.
-const SnapshotVersion = 2
+// — so Check rejects any version mismatch outright instead. Version 3
+// dropped the per-flow histogram, leaving the sketch as each flow's one
+// distribution aggregate.
+const SnapshotVersion = 3
 
 // Snapshot is the /snapshot response: the full flow table as raw state plus
 // the instance's ingest totals, tagged with the schema version that produced
@@ -241,7 +242,6 @@ func SnapshotOf(aggs []collector.FlowAgg, samples, records uint64) Snapshot {
 			Proto:   uint8(a.Key.Proto),
 			Est:     a.Est.State(),
 			True:    a.True.State(),
-			Hist:    a.Hist.State(),
 			Sketch:  a.Sketch.State(),
 			Packets: a.Packets,
 			Bytes:   a.Bytes,
@@ -267,7 +267,6 @@ func (s Snapshot) Aggs() []collector.FlowAgg {
 			},
 			Est:     stats.WelfordFromState(f.Est),
 			True:    stats.WelfordFromState(f.True),
-			Hist:    stats.HistogramFromState(f.Hist),
 			Sketch:  stats.SketchFromState(f.Sketch),
 			Packets: f.Packets,
 			Bytes:   f.Bytes,

@@ -133,7 +133,7 @@ func TestSnapshotVersionCheck(t *testing.T) {
 	if err := json.Unmarshal([]byte(`{"samples":1,"records":0,"flows":[]}`), &stale); err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range []int{stale.Version, 1, SnapshotVersion + 1} {
+	for _, v := range []int{stale.Version, 1, SnapshotVersion - 1, SnapshotVersion + 1} {
 		s := Snapshot{Version: v}
 		err := s.Check()
 		if err == nil {

@@ -6,8 +6,8 @@ import (
 	"strings"
 
 	"github.com/netmeasure/rlir/internal/collector"
-	"github.com/netmeasure/rlir/internal/experiments"
 	"github.com/netmeasure/rlir/internal/runner"
+	"github.com/netmeasure/rlir/internal/stats"
 )
 
 // MultiOpts sizes a multi-seed scenario sweep.
@@ -20,7 +20,7 @@ type MultiOpts struct {
 
 // Metric is one scalar's across-seed distribution: mean ± 95% CI
 // (Student-t) — the same statistic the figure harnesses report.
-type Metric = experiments.MetricCI
+type Metric = stats.MetricCI
 
 // MultiResult aggregates one scenario across independent seeds.
 type MultiResult struct {
@@ -120,7 +120,7 @@ func detectionCIs(perSeed []*Result) []DetectionCI {
 		}
 		rows[i] = DetectionCI{
 			Name:         first.Estimator,
-			Exposure:     experiments.MetricOf(exp),
+			Exposure:     stats.MetricOf(exp),
 			DetectedFrac: float64(detected) / float64(len(perSeed)),
 		}
 	}
@@ -150,8 +150,8 @@ func telemetryCIs(perSeed []*Result) []TelemetryCI {
 		}
 		rows[i] = TelemetryCI{
 			Name:                 first.Estimator,
-			FramesDropped:        experiments.MetricOf(dropped),
-			FlowCoverage:         experiments.MetricOf(cov),
+			FramesDropped:        stats.MetricOf(dropped),
+			FlowCoverage:         stats.MetricOf(cov),
 			BaselineMedianRelErr: metricOfFinite(base),
 			DegradedMedianRelErr: metricOfFinite(deg),
 			DeltaMedianRelErr:    metricOfFinite(delta),
@@ -171,7 +171,7 @@ func metricOfFinite(samples []float64) Metric {
 			finite = append(finite, s)
 		}
 	}
-	return experiments.MetricOf(finite)
+	return stats.MetricOf(finite)
 }
 
 // estimatorCIs folds the per-seed comparison tables into across-seed rows.
@@ -198,12 +198,12 @@ func estimatorCIs(perSeed []*Result) []EstimatorCI {
 		}
 		rows[i] = EstimatorCI{
 			Name:          c.Estimator,
-			Flows:         experiments.MetricOf(flows),
+			Flows:         stats.MetricOf(flows),
 			MedianRelErr:  metricOfFinite(med),
 			P99RelErr:     metricOfFinite(p99),
 			AggRelErr:     metricOfFinite(agg),
-			InjectedBytes: experiments.MetricOf(inj),
-			SampledBytes:  experiments.MetricOf(smp),
+			InjectedBytes: stats.MetricOf(inj),
+			SampledBytes:  stats.MetricOf(smp),
 		}
 	}
 	return rows
@@ -243,11 +243,11 @@ func RunMulti(spec Spec, opts MultiOpts) (*MultiResult, error) {
 		p99us = append(p99us, float64(o.res.EstP99)/1e3)
 		snaps = append(snaps, o.res.Fleet)
 	}
-	mr.MedianRelErr = experiments.MetricOf(medians)
-	mr.P90RelErr = experiments.MetricOf(p90s)
-	mr.Misattribution = experiments.MetricOf(misattr)
-	mr.HotLinkUtil = experiments.MetricOf(hot)
-	mr.EstP99Us = experiments.MetricOf(p99us)
+	mr.MedianRelErr = stats.MetricOf(medians)
+	mr.P90RelErr = stats.MetricOf(p90s)
+	mr.Misattribution = stats.MetricOf(misattr)
+	mr.HotLinkUtil = stats.MetricOf(hot)
+	mr.EstP99Us = stats.MetricOf(p99us)
 	mr.Estimators = estimatorCIs(mr.PerSeed)
 	mr.Telemetry = telemetryCIs(mr.PerSeed)
 	mr.Detection = detectionCIs(mr.PerSeed)

@@ -1,6 +1,9 @@
 package stats
 
-import "math"
+import (
+	"fmt"
+	"math"
+)
 
 // tCrit95 holds two-sided 95% Student-t critical values for 1..30 degrees of
 // freedom; beyond 30 the normal approximation (1.96) is close enough for the
@@ -24,4 +27,43 @@ func (w *Welford) CI95() float64 {
 		t = tCrit95[df-1]
 	}
 	return t * math.Sqrt(w.SampleVar()/float64(w.n))
+}
+
+// MetricCI is one metric's across-seed distribution: mean ± 95% CI
+// (Student-t) over N independent runs.
+type MetricCI struct {
+	Mean, CI95 float64
+	Min, Max   float64
+	N          int
+}
+
+// MetricOf folds independent per-seed samples into a mean ± 95% CI metric.
+// Every multi-seed sweep (the figure harnesses and the scenario engine)
+// shares this one implementation of the across-seed statistic.
+func MetricOf(samples []float64) MetricCI {
+	var w Welford
+	m := MetricCI{}
+	for _, x := range samples {
+		if w.N() == 0 || x < m.Min {
+			m.Min = x
+		}
+		if w.N() == 0 || x > m.Max {
+			m.Max = x
+		}
+		w.Add(x)
+	}
+	m.Mean = w.Mean()
+	m.CI95 = w.CI95()
+	m.N = int(w.N())
+	return m
+}
+
+func (m MetricCI) String() string {
+	if m.N == 0 {
+		return "n/a"
+	}
+	if m.N == 1 {
+		return fmt.Sprintf("%.4f", m.Mean)
+	}
+	return fmt.Sprintf("%.4f ±%.4f", m.Mean, m.CI95)
 }

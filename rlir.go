@@ -169,33 +169,6 @@ const (
 	Nearest  = core.Nearest
 )
 
-// ---- Fat-tree RLIR deployment (paper Figure 1 / §3.1) ----
-
-// FatTreeConfig is one fat-tree RLIR deployment run.
-type FatTreeConfig = experiments.FatTreeConfig
-
-// FatTreeResult is its outcome.
-type FatTreeResult = experiments.FatTreeResult
-
-// DemuxStrategy names the downstream demultiplexing options.
-type DemuxStrategy = experiments.DemuxStrategy
-
-// Downstream demultiplexing strategies of §3.1.
-const (
-	DemuxNone        = experiments.DemuxNone
-	DemuxMark        = experiments.DemuxMark
-	DemuxReverseECMP = experiments.DemuxReverseECMP
-	DemuxOracle      = experiments.DemuxOracle
-)
-
-// DefaultFatTreeConfig returns a k=4 deployment at moderate load.
-func DefaultFatTreeConfig() FatTreeConfig { return experiments.DefaultFatTreeConfig() }
-
-// RunFatTree executes one fat-tree RLIR deployment: upstream senders at
-// source ToR uplinks, receivers at cores (prefix demux), downstream senders
-// at cores and a strategy-demultiplexed receiver at the destination ToR.
-func RunFatTree(cfg FatTreeConfig) FatTreeResult { return experiments.RunFatTree(cfg) }
-
 // ---- Placement planning (paper §3.1) ----
 
 // Placement computes deployment-complexity figures for a k-ary fat-tree.
@@ -237,13 +210,6 @@ type Scalars = experiments.Scalars
 
 // RunScalars measures them.
 func RunScalars(scale Scale) Scalars { return experiments.RunScalars(scale) }
-
-// AblationDemux runs every downstream demux strategy on an identical
-// fat-tree workload (DESIGN.md A1).
-func AblationDemux(cfg FatTreeConfig) []FatTreeResult { return experiments.AblationDemux(cfg) }
-
-// RenderAblationDemux formats A1.
-func RenderAblationDemux(rs []FatTreeResult) string { return experiments.RenderAblationDemux(rs) }
 
 // EstimatorRow is one line of ablation A2.
 type EstimatorRow = experiments.EstimatorRow
@@ -319,7 +285,7 @@ func RunLocalization(cfg LocalizationConfig) LocalizationResult {
 type MultiOpts = experiments.MultiOpts
 
 // MetricCI is one metric's across-seed mean ± 95% CI.
-type MetricCI = experiments.MetricCI
+type MetricCI = stats.MetricCI
 
 // DeriveSeeds returns n independent, reproducible seeds derived from base
 // with SplitMix64 — use it instead of base+i arithmetic whenever seeding
@@ -385,17 +351,6 @@ type BaselineCI = experiments.BaselineCI
 func MultiBaselines(scale Scale, util float64, opts MultiOpts) BaselineCI {
 	return experiments.MultiBaselines(scale, util, opts)
 }
-
-// DemuxCI is one line of the multi-seed A1 table.
-type DemuxCI = experiments.DemuxCI
-
-// MultiDemux re-records ablation A1 across seeds.
-func MultiDemux(cfg FatTreeConfig, opts MultiOpts) []DemuxCI {
-	return experiments.MultiDemux(cfg, opts)
-}
-
-// RenderDemuxCI formats multi-seed A1.
-func RenderDemuxCI(rows []DemuxCI, seeds int) string { return experiments.RenderDemuxCI(rows, seeds) }
 
 // LocalizationCI re-records L1 across seeds.
 type LocalizationCI = experiments.LocalizationCI

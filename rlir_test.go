@@ -102,11 +102,15 @@ func TestPublicAPIMicroseconds(t *testing.T) {
 }
 
 func TestPublicAPIFatTree(t *testing.T) {
-	cfg := rlir.DefaultFatTreeConfig()
-	cfg.Duration = 60 * time.Millisecond
-	res := rlir.RunFatTree(cfg)
-	if res.Downstream.Flows == 0 || res.Misattribution != 0 {
-		t.Fatalf("fat-tree via facade: %+v", res.Downstream)
+	spec := rlir.DefaultScenarioSpec()
+	spec.Duration = 60 * time.Millisecond
+	spec.Deploy.Estimators = []string{"rli"}
+	res, err := rlir.RunScenario(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Overall.Flows == 0 || res.Misattribution != 0 {
+		t.Fatalf("fat-tree via facade: %+v, misattribution %.4f", res.Overall, res.Misattribution)
 	}
 }
 

@@ -4,7 +4,7 @@
 # Compares fresh simulator throughput (pkts/s) against the last committed
 # BENCH_<N>.json (highest N) and fails when the fresh number falls more
 # than 25% below the recorded one. Also gates simulator allocs/op (lower
-# is better), the hash-sample tap (relative pkts/s plus an absolute
+# is better), collector ingest samples/s, the hash-sample tap (relative pkts/s plus an absolute
 # 0-allocs/op gate on the keyed sampling path) and the speedup ratios (runner sweep at 4 workers, parallel
 # engine at 2 partitions); speedup gates are skipped — with the reason
 # logged — when either side was measured with fewer CPUs than the
@@ -42,6 +42,13 @@ max_drop_pct=25
 # pkts_per_s).
 pkts_from_json() {
   awk '/"pkts_per_s"/ { gsub(/[^0-9.eE+-]/, "", $2); print $2; exit }' "$1"
+}
+
+# collector_from_json extracts collector_ingest.samples_per_s (the sharded
+# collector's batch ingest throughput, BenchmarkIngest).
+collector_from_json() {
+  awk '/"collector_ingest"/ { incol = 1 }
+       incol && /"samples_per_s"/ { gsub(/[^0-9.eE+-]/, "", $2); print $2; exit }' "$1"
 }
 
 # tap_from_json extracts shared_tap.pkts_per_s (the estimator layer's
@@ -153,6 +160,7 @@ if [ -z "$base" ]; then
   exit 2
 fi
 
+base_collector=$(collector_from_json "$base_file")
 base_tap=$(tap_from_json "$base_file")
 base_hashtap=$(hashtap_from_json "$base_file")
 base_svc=$(service_from_json "$base_file")
@@ -167,6 +175,7 @@ ncpu=$(getconf _NPROCESSORS_ONLN 2>/dev/null || echo 1)
 
 if [ -n "$fresh_file" ]; then
   fresh=$(pkts_from_json "$fresh_file")
+  fresh_collector=$(collector_from_json "$fresh_file")
   fresh_tap=$(tap_from_json "$fresh_file")
   fresh_hashtap=$(hashtap_from_json "$fresh_file")
   fresh_hashtap_allocs=$(hashtapallocs_from_json "$fresh_file")
@@ -182,6 +191,10 @@ if [ -n "$fresh_file" ]; then
   # not this box's.
   sweep_cpus=$(seccpus_from_json "$fresh_file" runner_scaling)
   par_cpus=$(seccpus_from_json "$fresh_file" parallel_sim)
+  if [ -n "$base_collector" ] && [ -z "$fresh_collector" ]; then
+    echo "bench_check: baseline $base_file has collector_ingest but $fresh_file does not; refusing to skip the gate" >&2
+    exit 2
+  fi
   if [ -n "$base_tap" ] && [ -z "$fresh_tap" ]; then
     echo "bench_check: baseline $base_file has shared_tap but $fresh_file does not; refusing to skip the gate" >&2
     exit 2
@@ -224,6 +237,19 @@ else
   if [ -n "$base_allocs" ] && [ -z "$fresh_allocs" ]; then
     echo "bench_check: no allocs/op number parsed from local bench" >&2
     exit 2
+  fi
+  fresh_collector=""
+  if [ -n "$base_collector" ]; then
+    echo "bench_check: measuring collector ingest throughput..." >&2
+    raw_col=$(go test -run '^$' -bench 'BenchmarkIngest$' ./internal/collector 2>&1)
+    echo "$raw_col" | grep -E '^Benchmark' >&2 || true
+    fresh_collector=$(echo "$raw_col" | awk '/^BenchmarkIngest-/ || /^BenchmarkIngest / {
+      for (i = 1; i < NF; i++) if ($(i + 1) == "samples/s") print $i
+    }' | tail -1)
+    if [ -z "$fresh_collector" ]; then
+      echo "bench_check: no collector ingest number parsed from local bench" >&2
+      exit 2
+    fi
   fi
   fresh_tap=""
   if [ -n "$base_tap" ]; then
@@ -410,6 +436,9 @@ compare() {
 
 status=0
 compare "simulator" "$fresh" "$base" || status=1
+if [ -n "$base_collector" ] && [ -n "$fresh_collector" ]; then
+  compare "collector-ingest" "$fresh_collector" "$base_collector" "samples/s" || status=1
+fi
 if [ -n "$base_tap" ] && [ -n "$fresh_tap" ]; then
   compare "shared-tap" "$fresh_tap" "$base_tap" || status=1
 fi

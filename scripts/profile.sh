@@ -31,7 +31,7 @@ case "$mode" in
     ;;
   sim)
     echo "profile.sh: profiling cmd/rlirsim (tandem, default scale)..." >&2
-    go run ./cmd/rlirsim -topology tandem -scheme static -model random -util 0.93 \
+    go run ./cmd/rlirsim -scheme static -model random -util 0.93 \
       -cpuprofile "$dir/cpu.pprof" -memprofile "$dir/mem.pprof" > /dev/null
     ;;
   *)
