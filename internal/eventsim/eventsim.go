@@ -33,6 +33,17 @@
 // slice: no container/heap indirection, no interface boxing per element, and
 // a branching factor that keeps parent/child slots on the same cache lines.
 //
+// The heap is meant to hold in-flight events only. A workload of many
+// future arrivals does not have to be scheduled up front, which would make
+// every push and pop sift through all of them: ReserveSetupKey takes an
+// event's setup-time place in the order without scheduling it, and
+// AtSetupKey later schedules it under exactly that key from inside a
+// running event. A cursor that re-arms itself this way (netsim's per-node
+// arrival streams) executes the same events in the same order as the
+// pre-scheduled workload, while the heap holds one event per cursor. Pending
+// therefore counts only materialized events: a stream's arrivals past its
+// armed head are not pending yet.
+//
 // An Engine is single-goroutine: network simulation at packet granularity is
 // dominated by the event heap and cache behaviour, and a single timeline
 // avoids cross-goroutine nondeterminism. Multi-core scale-out is layered on
@@ -95,12 +106,19 @@ func (x *event) before(y *event) bool {
 	return x.k < y.k
 }
 
+// SetupKey is a place in the setup-time schedule order taken by
+// ReserveSetupKey: the index a setup schedule call made at that moment
+// would have been stamped with.
+type SetupKey uint32
+
 // Engine is a discrete-event scheduler. The zero value is not usable; create
 // one with New.
 type Engine struct {
 	now       simtime.Time
-	ord       uint64  // cause word stamped on schedule calls (execution index of the running event)
-	k         uint32  // next schedule-call index of the running event
+	ord       uint64 // cause word stamped on schedule calls (execution index of the running event)
+	k         uint32 // next schedule-call index of the running event
+	curOrd    uint64 // (ord, k) key of the running or last-run event
+	curK      uint32
 	events    []event // 4-ary min-heap ordered by (at, ord, k)
 	kinds     []TypedHandler
 	processed uint64
@@ -139,7 +157,8 @@ func (e *Engine) RegisterKind(h TypedHandler) Kind {
 // Now returns the current virtual time.
 func (e *Engine) Now() simtime.Time { return e.now }
 
-// Pending returns the number of events waiting to run.
+// Pending returns the number of events waiting to run in the heap. Events a
+// cursor has not armed yet under a reserved SetupKey are not counted.
 func (e *Engine) Pending() int { return len(e.events) }
 
 // Processed returns the total number of events executed so far.
@@ -171,25 +190,63 @@ func (e *Engine) AfterKind(d time.Duration, k Kind, a, b any) {
 	e.AtKind(e.now.Add(d), k, a, b)
 }
 
+// ReserveSetupKey takes the next setup-time schedule index without
+// scheduling anything. An event later scheduled with AtSetupKey under the
+// returned key orders exactly as an AtKind call made here instead would
+// have. On a Parallel lane the index comes from the counter all lanes share
+// during setup. Reserving once the run has started panics: a running
+// event's schedule calls are ordered by its own execution index, not by
+// setup order.
+func (e *Engine) ReserveSetupKey() SetupKey {
+	if e.ord != 0 {
+		panic("eventsim: ReserveSetupKey after the run started")
+	}
+	return SetupKey(e.nextK())
+}
+
+// AtSetupKey schedules a typed event at instant t under a key reserved with
+// ReserveSetupKey. It may be called from inside a running event: it leaves
+// that event's schedule-call counter alone, so the event's own schedule
+// calls keep the indices they would have had. The key must order after the
+// running event's; an event at an earlier instant, or at the same instant
+// but behind the running event, panics like scheduling in the past.
+func (e *Engine) AtSetupKey(t simtime.Time, key SetupKey, kind Kind, a, b any) {
+	if uint32(kind) >= uint32(len(e.kinds)) {
+		panic("eventsim: AtSetupKey with unregistered kind")
+	}
+	if t < e.now || (t == e.now && e.processed > 0 && (e.curOrd != 0 || e.curK >= uint32(key))) {
+		panic("eventsim: setup-key event at " + t.String() + " orders before the running event at " + e.now.String())
+	}
+	e.insert(event{at: t, kind: kind, k: uint32(key), a: a, b: b})
+}
+
+// nextK returns the next schedule-call index of the running event, or
+// during setup the next setup index.
+func (e *Engine) nextK() uint32 {
+	if e.extK != nil {
+		// Parallel setup: one counter shared across lanes keeps the global
+		// setup call order, exactly like a single engine's would.
+		k := *e.extK
+		*e.extK = k + 1
+		return k
+	}
+	k := e.k
+	e.k++
+	return k
+}
+
 func (e *Engine) schedule(t simtime.Time, kind Kind, a, b any) {
 	if t < e.now {
 		panic("eventsim: scheduling event in the past (" + t.String() + " < " + e.now.String() + ")")
 	}
-	var k uint32
-	if e.extK != nil {
-		// Parallel setup: one counter shared across lanes keeps the global
-		// setup call order, exactly like a single engine's would.
-		k = *e.extK
-		*e.extK = k + 1
-	} else {
-		k = e.k
-		e.k++
-	}
-	ev := event{at: t, ord: e.ord, kind: kind, k: k, a: a, b: b}
-	if e.deferPast != 0 && t >= e.deferPast {
-		// Parallel window: the event belongs to a later window. Its cause's
-		// global index is unknown until the barrier, so park it; the barrier
-		// resolves ord and pushes it.
+	e.insert(event{at: t, ord: e.ord, kind: kind, k: e.nextK(), a: a, b: b})
+}
+
+// insert pushes ev, or parks it while a Parallel window runs and ev belongs
+// to a later window: its cause's global index is unknown until the barrier,
+// which resolves ord and pushes it. A setup key (ord 0) resolves to itself.
+func (e *Engine) insert(ev event) {
+	if e.deferPast != 0 && ev.at >= e.deferPast {
 		e.side = append(e.side, ev)
 		return
 	}
@@ -274,6 +331,7 @@ func (e *Engine) RunUntil(deadline simtime.Time) uint64 {
 		}
 		ev := e.pop()
 		e.now = ev.at
+		e.curOrd, e.curK = ev.ord, ev.k
 		e.processed++
 		e.ord = e.processed
 		e.k = 0
@@ -294,6 +352,7 @@ func (e *Engine) Step() bool {
 	}
 	ev := e.pop()
 	e.now = ev.at
+	e.curOrd, e.curK = ev.ord, ev.k
 	e.processed++
 	e.ord = e.processed
 	e.k = 0

@@ -33,7 +33,9 @@
 // cause on the fly: the cause executed earlier in the same lane's window, so
 // its global index was assigned before any of its children reach the merge
 // head. Setup-time schedules use ord 0 with one counter shared across lanes,
-// which is exactly the sequential setup order. The result is that every
+// which is exactly the sequential setup order; so do keys reserved with
+// ReserveSetupKey, and an event a lane later schedules under such a key
+// keeps ord 0 through the barrier. The result is that every
 // event carries the same (at, ord, k) key it would have carried on the
 // sequential engine, so heap pop order — and therefore every handler
 // execution order — is identical.
@@ -246,6 +248,7 @@ func (e *Engine) runWindow(end simtime.Time) {
 	for len(e.events) > 0 && e.events[0].at < end {
 		ev := e.pop()
 		e.now = ev.at
+		e.curOrd, e.curK = ev.ord, ev.k
 		e.processed++
 		e.ord = flagLocal | e.processed
 		e.k = 0

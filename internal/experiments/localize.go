@@ -285,8 +285,7 @@ func runLocalizationPass(cfg LocalizationConfig, withFault bool) []core.Segment 
 		key := rec.Key
 		key.Src = ft.HostAddr(sp, se, sh)
 		key.Dst = ft.HostAddr(q, e0, dh)
-		pk := &packet.Packet{ID: nw.NewPacketID(), Key: key, Size: rec.Size, Kind: packet.Regular}
-		nw.Inject(ft.Hosts[sp][se][sh], pk, rec.At)
+		ft.Hosts[sp][se][sh].AddArrival(netsim.Arrival{At: rec.At, ID: nw.NewPacketID(), Key: key, Size: rec.Size, Kind: packet.Regular})
 	}
 	eng.Run()
 

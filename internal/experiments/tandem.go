@@ -329,15 +329,10 @@ func measuredRate(cfg trace.Config) float64 {
 	return float64(bytes*8) / cfg.Duration.Seconds()
 }
 
-// replay schedules a trace into a node and returns its mean offered rate
-// over the window. If counter is non-nil it is incremented per packet.
-// Packets are carved out of chunked backing arrays: they all live until the
-// simulation ends anyway, so chunking trades thousands of individual
-// allocations for a handful of slabs with better locality.
+// replay streams a trace into a node and returns its mean offered rate over
+// the window. If counter is non-nil it is incremented per packet.
 func replay(nw *netsim.Network, into *netsim.Node, src trace.Source, kind packet.Kind, counter *uint64, window time.Duration) float64 {
-	const chunk = 8192
 	var bytes uint64
-	var slab []packet.Packet
 	for {
 		rec, ok := src.Next()
 		if !ok {
@@ -347,13 +342,7 @@ func replay(nw *netsim.Network, into *netsim.Node, src trace.Source, kind packet
 		if counter != nil {
 			*counter++
 		}
-		if len(slab) == 0 {
-			slab = make([]packet.Packet, chunk)
-		}
-		p := &slab[0]
-		slab = slab[1:]
-		*p = packet.Packet{ID: nw.NewPacketID(), Key: rec.Key, Size: rec.Size, Kind: kind}
-		nw.Inject(into, p, rec.At)
+		into.AddArrival(netsim.Arrival{At: rec.At, ID: nw.NewPacketID(), Key: rec.Key, Size: rec.Size, Kind: kind})
 	}
 	return float64(bytes*8) / window.Seconds()
 }

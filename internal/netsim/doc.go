@@ -7,7 +7,9 @@
 // link propagation. Measurement instruments attach through taps — callbacks
 // at transmit-start (egress hardware timestamping semantics), at node
 // ingress, at local delivery, and at drop — and may inject packets into
-// ports, which is how RLI senders emit reference packets.
+// ports, which is how RLI senders emit reference packets. Workloads enter
+// through per-node arrival streams (Node.AddArrival), which keep future
+// arrivals off the event heap; Inject is for single packets.
 //
 // The simulator is deliberately single-threaded and allocation-lean: in a
 // latency study the simulator must never perturb the quantity under

@@ -50,13 +50,14 @@ type Network struct {
 	nextPktID  uint64
 
 	// Typed event kinds for the per-packet hot path. Every steady-state
-	// forwarding step — injection arrival, post-processing dispatch, wire
+	// forwarding step — workload arrival, post-processing dispatch, wire
 	// transfer completion, propagation arrival — is a typed event whose
 	// payload (node or port, plus packet) lives by value in the heap slot,
 	// so forwarding a packet schedules no closures and allocates nothing.
 	kReceive  eventsim.Kind // a: *Node, b: *packet.Packet — ingress arrival
 	kDispatch eventsim.Kind // a: *Node, b: *packet.Packet — post-proc-delay forwarding
 	kTxDone   eventsim.Kind // a: *Port, b: *packet.Packet — wire transfer complete
+	kArrive   eventsim.Kind // a: *Node — workload stream cursor (stream.go)
 }
 
 // New returns an empty network on the given engine.
@@ -65,6 +66,7 @@ func New(eng *eventsim.Engine) *Network {
 	nw.kReceive = eng.RegisterKind(func(a, b any) { a.(*Node).receive(b.(*packet.Packet)) })
 	nw.kDispatch = eng.RegisterKind(func(a, b any) { a.(*Node).dispatch(b.(*packet.Packet)) })
 	nw.kTxDone = eng.RegisterKind(func(a, b any) { a.(*Port).txDone(b.(*packet.Packet)) })
+	nw.kArrive = eng.RegisterKind(func(a, _ any) { a.(*Node).arrive() })
 	return nw
 }
 
@@ -78,6 +80,7 @@ func NewParallel(p *eventsim.Parallel) *Network {
 	nw.kReceive = p.RegisterKind(func(a, b any) { a.(*Node).receive(b.(*packet.Packet)) })
 	nw.kDispatch = p.RegisterKind(func(a, b any) { a.(*Node).dispatch(b.(*packet.Packet)) })
 	nw.kTxDone = p.RegisterKind(func(a, b any) { a.(*Port).txDone(b.(*packet.Packet)) })
+	nw.kArrive = p.RegisterKind(func(a, _ any) { a.(*Node).arrive() })
 	return nw
 }
 
@@ -168,9 +171,10 @@ func (nw *Network) Node(id NodeID) *Node {
 // Nodes returns the number of nodes.
 func (nw *Network) Nodes() int { return len(nw.nodes) }
 
-// Inject schedules p to arrive at node n's ingress at instant at. It is how
-// workloads enter the network. On a partitioned network the event lands on
-// n's lane.
+// Inject schedules p to arrive at node n's ingress at instant at. It is for
+// single packets; workloads enter through Node.AddArrival, which keeps
+// their future arrivals off the event heap. On a partitioned network the
+// event lands on n's lane.
 func (nw *Network) Inject(n *Node, p *packet.Packet, at simtime.Time) {
 	n.eng.AtKind(at, nw.kReceive, n, p)
 }
@@ -213,7 +217,8 @@ type Node struct {
 	extra   DelayFunc
 	ports   []*Port
 	forward ForwardFunc
-	refID   uint64 // per-node packet ID counter (partitioned networks)
+	refID   uint64   // per-node packet ID counter (partitioned networks)
+	in      arrivals // workload stream into ingress (stream.go)
 
 	onReceive []TapFunc
 	onDeliver []TapFunc

@@ -162,9 +162,17 @@ type Packet struct {
 	SegmentStart simtime.Time
 
 	// Hops is the ground-truth list of node IDs traversed, recorded by the
-	// simulator when path tracing is enabled.
+	// simulator when path tracing is enabled. RecordHop backs it with an
+	// inline buffer of seven entries — a whole fat-tree path, host to
+	// host — and spills to the heap only past that.
 	Hops []int32
+	hops [inlineHops]int32
 }
+
+// inlineHops is the path length a Packet traces without allocating: the seven
+// nodes of a fat-tree path (host, ToR, aggregation, core, aggregation, ToR,
+// host).
+const inlineHops = 7
 
 // RefPayload is the information an RLI reference packet carries on the wire.
 type RefPayload struct {
@@ -185,7 +193,19 @@ func (r RefPayload) Delay(receivedAt simtime.Time) time.Duration {
 
 // RecordHop appends a node to the ground-truth path trace.
 func (p *Packet) RecordHop(node int32) {
-	p.Hops = append(p.Hops, node)
+	n := len(p.Hops)
+	if n >= inlineHops {
+		p.Hops = append(p.Hops, node)
+		return
+	}
+	if n > 0 && &p.Hops[0] != &p.hops[0] {
+		// Hops was set elsewhere, or p is a copy whose Hops still points
+		// into the original's buffer: take the entries over so appending
+		// never writes into memory p does not own.
+		copy(p.hops[:], p.Hops)
+	}
+	p.hops[n] = node
+	p.Hops = p.hops[:n+1]
 }
 
 // Traversed reports whether ground-truth tracing saw the packet pass node.

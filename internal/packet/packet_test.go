@@ -1,6 +1,7 @@
 package packet
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 	"time"
@@ -74,6 +75,48 @@ func TestRecordHopAndTraversed(t *testing.T) {
 	p.RecordHop(7)
 	if !p.Traversed(3) || !p.Traversed(7) || p.Traversed(5) {
 		t.Fatalf("Hops = %v", p.Hops)
+	}
+}
+
+// TestRecordHopInline pins the path trace's storage: a fat-tree path fits
+// the inline buffer without allocating, a longer one spills intact, and a
+// struct copy never appends into the original's buffer.
+func TestRecordHopInline(t *testing.T) {
+	var p Packet
+	allocs := testing.AllocsPerRun(100, func() {
+		p.Hops = nil
+		for i := int32(0); i < inlineHops; i++ {
+			p.RecordHop(i)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("RecordHop within %d hops allocated %.1f times per path", inlineHops, allocs)
+	}
+
+	p.Hops = nil
+	var want []int32
+	for i := int32(0); i < 2*inlineHops; i++ {
+		p.RecordHop(i)
+		want = append(want, i)
+	}
+	if fmt.Sprint(p.Hops) != fmt.Sprint(want) {
+		t.Fatalf("spilled Hops = %v, want %v", p.Hops, want)
+	}
+
+	var orig Packet
+	orig.RecordHop(1)
+	orig.RecordHop(2)
+	cp := orig
+	cp.RecordHop(9)
+	orig.RecordHop(3)
+	if fmt.Sprint(orig.Hops) != "[1 2 3]" || fmt.Sprint(cp.Hops) != "[1 2 9]" {
+		t.Fatalf("copy aliasing: orig %v, copy %v", orig.Hops, cp.Hops)
+	}
+
+	q := Packet{Hops: []int32{4, 5}}
+	q.RecordHop(6)
+	if fmt.Sprint(q.Hops) != "[4 5 6]" {
+		t.Fatalf("preset Hops extended to %v", q.Hops)
 	}
 }
 

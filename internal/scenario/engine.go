@@ -731,11 +731,11 @@ func runFatTree(spec Spec, seed int64, cap *capture) (*Result, error) {
 	return res, nil
 }
 
-// injectWorkload generates the spec's traffic pattern and schedules it into
-// the network, returning the packet count and, for replicated workloads,
-// the injection-time pair log (nil otherwise). Injection happens pre-run on
-// the network-wide ID counter, so packet IDs and the pair log are identical
-// across engines and partition counts.
+// injectWorkload generates the spec's traffic pattern and feeds it into the
+// source hosts' arrival streams, returning the packet count and, for
+// replicated workloads, the injection-time pair log (nil otherwise).
+// Generation happens pre-run on the network-wide ID counter, so packet IDs
+// and the pair log are identical across engines and partition counts.
 func (spec Spec) injectWorkload(nw *netsim.Network, ft *topo.FatTree, seed int64) (int, []repPair) {
 	k, h := spec.Topology.K, spec.half()
 	q, e0 := spec.destPod(), spec.Workload.DestToR
@@ -822,23 +822,24 @@ func (spec Spec) injectWorkload(nw *netsim.Network, ft *topo.FatTree, seed int64
 		if !ok {
 			panic(fmt.Sprintf("scenario: remapped source %v is not a fat-tree host", key.Src))
 		}
-		pk := &packet.Packet{ID: nw.NewPacketID(), Key: key, Size: rec.Size, Kind: packet.Regular}
-		nw.Inject(ft.Hosts[sp][se][sh], pk, rec.At)
+		host := ft.Hosts[sp][se][sh]
+		orig := netsim.Arrival{At: rec.At, ID: nw.NewPacketID(), Key: key, Size: rec.Size, Kind: packet.Regular}
+		host.AddArrival(orig)
 		injected++
 		if spec.Workload.Replicate {
 			// RepFlow-style replica: the same payload under a source port
 			// differing in one bit, so ECMP usually hashes the copy onto a
 			// different core path. First arrival wins at harvest.
-			rkey := key
-			rkey.SrcPort ^= 1
-			rp := &packet.Packet{ID: nw.NewPacketID(), Key: rkey, Size: rec.Size, Kind: packet.Regular}
-			nw.Inject(ft.Hosts[sp][se][sh], rp, rec.At)
+			rep := orig
+			rep.ID = nw.NewPacketID()
+			rep.Key.SrcPort ^= 1
+			host.AddArrival(rep)
 			injected++
-			oj, oi, oerr := ft.ResolveCore(key)
-			rj, ri, rerr := ft.ResolveCore(rkey)
+			oj, oi, oerr := ft.ResolveCore(orig.Key)
+			rj, ri, rerr := ft.ResolveCore(rep.Key)
 			pairs = append(pairs, repPair{
-				orig:     pk.ID,
-				rep:      rp.ID,
+				orig:     orig.ID,
+				rep:      rep.ID,
 				at:       rec.At,
 				distinct: oerr == nil && rerr == nil && (oj != rj || oi != ri),
 			})

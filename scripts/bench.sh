@@ -33,7 +33,8 @@
 # event engine (BenchmarkScenarioSequential vs BenchmarkScenarioParallel2/4:
 # one fat-tree scenario end to end on the sequential vs the conservative
 # parallel engine, with the speedup ratios — honest numbers, so on a
-# single-core runner they sit at or below 1x).
+# single-core runner they sit at or below 1x — plus the sequential run's
+# allocations, the fat-tree path's allocation gate).
 #
 # Every section records the "cpus" the numbers were measured with, so
 # downstream consumers (scripts/bench_check.sh) can tell a genuine scaling
@@ -66,7 +67,7 @@ raw_sketch=$(go test -run '^$' -bench 'BenchmarkSketchAdd$' \
 raw_churn=$(go test -run '^$' -bench 'BenchmarkEvictionChurn$' \
   -benchmem ./internal/collector 2>&1)
 raw_par=$(go test -run '^$' -bench 'BenchmarkScenarioSequential$|BenchmarkScenarioParallel[24]$' \
-  -benchtime 3x . 2>&1)
+  -benchmem -benchtime 3x . 2>&1)
 raw=$(printf '%s\n%s\n%s\n%s\n%s\n%s\n%s\n%s\n%s\n' "$raw" "$raw_collector" "$raw_runner" "$raw_measure" "$raw_service" "$raw_fleet" "$raw_sketch" "$raw_churn" "$raw_par")
 
 echo "$raw" | grep -E '^Benchmark' >&2
@@ -145,7 +146,10 @@ echo "$raw" | awk -v bench="$n" -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" \
     }
   }
   /^BenchmarkScenarioSequential/ {
-    for (i = 1; i < NF; i++) if ($(i + 1) == "ns/op") seqns = $i
+    for (i = 1; i < NF; i++) {
+      if ($(i + 1) == "ns/op") seqns = $i
+      if ($(i + 1) == "allocs/op") seqallocs = $i
+    }
   }
   /^BenchmarkScenarioParallel2/ {
     for (i = 1; i < NF; i++) if ($(i + 1) == "ns/op") parns2 = $i
@@ -163,7 +167,7 @@ echo "$raw" | awk -v bench="$n" -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" \
     if (fleet == "" || fleetq == "") { print "bench.sh: no fleet result parsed" > "/dev/stderr"; exit 1 }
     if (sketch == "") { print "bench.sh: no sketch ingest result parsed" > "/dev/stderr"; exit 1 }
     if (churn == "") { print "bench.sh: no eviction churn result parsed" > "/dev/stderr"; exit 1 }
-    if (seqns == "" || parns2 == "" || parns4 == "") { print "bench.sh: no parallel-engine result parsed" > "/dev/stderr"; exit 1 }
+    if (seqns == "" || seqallocs == "" || parns2 == "" || parns4 == "") { print "bench.sh: no parallel-engine result parsed" > "/dev/stderr"; exit 1 }
     printf "{\n"
     printf "  \"bench\": %d,\n", bench
     printf "  \"date\": \"%s\",\n", date
@@ -225,6 +229,7 @@ echo "$raw" | awk -v bench="$n" -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" \
     printf "    \"cpus\": %s,\n", maxprocs
     printf "    \"scenario\": \"default\",\n"
     printf "    \"ns_per_run_sequential\": %s,\n", seqns
+    printf "    \"allocs_per_run_sequential\": %s,\n", seqallocs
     printf "    \"ns_per_run_parallel_2\": %s,\n", parns2
     printf "    \"ns_per_run_parallel_4\": %s,\n", parns4
     printf "    \"speedup_2_partitions\": %.2f,\n", seqns / parns2

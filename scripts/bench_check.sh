@@ -4,7 +4,8 @@
 # Compares fresh simulator throughput (pkts/s) against the last committed
 # BENCH_<N>.json (highest N) and fails when the fresh number falls more
 # than 25% below the recorded one. Also gates simulator allocs/op (lower
-# is better), collector ingest samples/s, the hash-sample tap (relative pkts/s plus an absolute
+# is better), the fat-tree scenario's sequential ns/run and allocs/run
+# (lower is better, same 25% bound), collector ingest samples/s, the hash-sample tap (relative pkts/s plus an absolute
 # 0-allocs/op gate on the keyed sampling path) and the speedup ratios (runner sweep at 4 workers, parallel
 # engine at 2 partitions); speedup gates are skipped — with the reason
 # logged — when either side was measured with fewer CPUs than the
@@ -120,6 +121,21 @@ allocs_from_json() {
        insim && /"allocs_per_op"/ { gsub(/[^0-9.eE+-]/, "", $2); print $2; exit }' "$1"
 }
 
+# parseq_from_json extracts parallel_sim.ns_per_run_sequential (one default
+# fat-tree scenario run on the sequential engine; lower is better).
+parseq_from_json() {
+  awk '/"parallel_sim"/ { inps = 1 }
+       inps && /"ns_per_run_sequential"/ { gsub(/[^0-9.eE+-]/, "", $2); print $2; exit }' "$1"
+}
+
+# parallocs_from_json extracts parallel_sim.allocs_per_run_sequential (the
+# same run's allocations; lower is better). Empty when the baseline
+# predates the allocation gate.
+parallocs_from_json() {
+  awk '/"parallel_sim"/ { inps = 1 }
+       inps && /"allocs_per_run_sequential"/ { gsub(/[^0-9.eE+-]/, "", $2); print $2; exit }' "$1"
+}
+
 # sweepspeed_from_json extracts runner_scaling.speedup_4_workers (the
 # 8-seed sweep's 1-worker/4-worker wall-clock ratio).
 sweepspeed_from_json() {
@@ -171,6 +187,8 @@ base_churn=$(churn_from_json "$base_file")
 base_allocs=$(allocs_from_json "$base_file")
 base_sweep=$(sweepspeed_from_json "$base_file")
 base_parspeed=$(parspeed_from_json "$base_file")
+base_parseq=$(parseq_from_json "$base_file")
+base_parallocs=$(parallocs_from_json "$base_file")
 ncpu=$(getconf _NPROCESSORS_ONLN 2>/dev/null || echo 1)
 
 if [ -n "$fresh_file" ]; then
@@ -187,6 +205,8 @@ if [ -n "$fresh_file" ]; then
   fresh_allocs=$(allocs_from_json "$fresh_file")
   fresh_sweep=$(sweepspeed_from_json "$fresh_file")
   fresh_parspeed=$(parspeed_from_json "$fresh_file")
+  fresh_parseq=$(parseq_from_json "$fresh_file")
+  fresh_parallocs=$(parallocs_from_json "$fresh_file")
   # Speedup gates judge the fresh file by the CPUs it was measured with,
   # not this box's.
   sweep_cpus=$(seccpus_from_json "$fresh_file" runner_scaling)
@@ -221,6 +241,14 @@ if [ -n "$fresh_file" ]; then
   fi
   if [ -n "$base_parspeed" ] && [ -z "$fresh_parspeed" ]; then
     echo "bench_check: baseline $base_file has parallel_sim but $fresh_file does not; refusing to skip the gate" >&2
+    exit 2
+  fi
+  if [ -n "$base_parseq" ] && [ -z "$fresh_parseq" ]; then
+    echo "bench_check: baseline $base_file has parallel_sim.ns_per_run_sequential but $fresh_file does not; refusing to skip the gate" >&2
+    exit 2
+  fi
+  if [ -n "$base_parallocs" ] && [ -z "$fresh_parallocs" ]; then
+    echo "bench_check: baseline $base_file has parallel_sim.allocs_per_run_sequential but $fresh_file does not; refusing to skip the gate" >&2
     exit 2
   fi
   src="$fresh_file"
@@ -362,26 +390,44 @@ else
       fresh_sweep=$(awk -v a="$s1" -v b="$s4" 'BEGIN { printf "%.2f", a / b }')
     fi
   fi
+  # The fat-tree scenario: the sequential run is always measured when the
+  # baseline has it (ns/run and allocs/run gates); the 2-partition run only
+  # when this box has the cores for a speedup to mean anything.
   fresh_parspeed=""
+  fresh_parseq=""
+  fresh_parallocs=""
   par_cpus="$ncpu"
-  if [ -n "$base_parspeed" ]; then
-    if [ "$ncpu" -lt 2 ]; then
-      echo "bench_check: skipping parallel-engine speedup gate: $ncpu CPUs < 2 partitions (nothing to scale onto)" >&2
-    else
-      echo "bench_check: measuring parallel-engine speedup (2 partitions)..." >&2
-      raw_par=$(go test -run '^$' -bench 'BenchmarkScenarioSequential$|BenchmarkScenarioParallel2$' -benchtime 2x . 2>&1)
-      echo "$raw_par" | grep -E '^Benchmark' >&2 || true
-      pseq=$(echo "$raw_par" | awk '/^BenchmarkScenarioSequential/ {
-        for (i = 1; i < NF; i++) if ($(i + 1) == "ns/op") print $i
-      }' | tail -1)
+  if [ -n "$base_parspeed" ] || [ -n "$base_parseq" ] || [ -n "$base_parallocs" ]; then
+    par_bench='BenchmarkScenarioSequential$'
+    if [ -n "$base_parspeed" ]; then
+      if [ "$ncpu" -lt 2 ]; then
+        echo "bench_check: skipping parallel-engine speedup gate: $ncpu CPUs < 2 partitions (nothing to scale onto)" >&2
+      else
+        par_bench='BenchmarkScenarioSequential$|BenchmarkScenarioParallel2$'
+      fi
+    fi
+    echo "bench_check: measuring the fat-tree scenario engine ($par_bench)..." >&2
+    raw_par=$(go test -run '^$' -bench "$par_bench" -benchmem -benchtime 3x . 2>&1)
+    echo "$raw_par" | grep -E '^Benchmark' >&2 || true
+    fresh_parseq=$(echo "$raw_par" | awk '/^BenchmarkScenarioSequential/ {
+      for (i = 1; i < NF; i++) if ($(i + 1) == "ns/op") print $i
+    }' | tail -1)
+    fresh_parallocs=$(echo "$raw_par" | awk '/^BenchmarkScenarioSequential/ {
+      for (i = 1; i < NF; i++) if ($(i + 1) == "allocs/op") print $i
+    }' | tail -1)
+    if [ -z "$fresh_parseq" ] || [ -z "$fresh_parallocs" ]; then
+      echo "bench_check: no sequential fat-tree numbers parsed from local bench" >&2
+      exit 2
+    fi
+    if [ "$par_bench" != 'BenchmarkScenarioSequential$' ]; then
       ppar=$(echo "$raw_par" | awk '/^BenchmarkScenarioParallel2/ {
         for (i = 1; i < NF; i++) if ($(i + 1) == "ns/op") print $i
       }' | tail -1)
-      if [ -z "$pseq" ] || [ -z "$ppar" ]; then
-        echo "bench_check: no parallel-engine numbers parsed from local bench" >&2
+      if [ -z "$ppar" ]; then
+        echo "bench_check: no parallel-engine number parsed from local bench" >&2
         exit 2
       fi
-      fresh_parspeed=$(awk -v a="$pseq" -v b="$ppar" 'BEGIN { printf "%.2f", a / b }')
+      fresh_parspeed=$(awk -v a="$fresh_parseq" -v b="$ppar" 'BEGIN { printf "%.2f", a / b }')
     fi
   fi
   src="local bench"
@@ -483,6 +529,12 @@ if [ -n "$base_churn" ] && [ -n "$fresh_churn" ]; then
 fi
 if [ -n "$base_allocs" ] && [ -n "$fresh_allocs" ]; then
   compare_lower "simulator-allocs" "$fresh_allocs" "$base_allocs" "allocs/op" || status=1
+fi
+if [ -n "$base_parseq" ] && [ -n "$fresh_parseq" ]; then
+  compare_lower "fattree-sequential" "$fresh_parseq" "$base_parseq" "ns/run" || status=1
+fi
+if [ -n "$base_parallocs" ] && [ -n "$fresh_parallocs" ]; then
+  compare_lower "fattree-allocs" "$fresh_parallocs" "$base_parallocs" "allocs/run" || status=1
 fi
 # Speedup gates. A ratio measured with fewer CPUs than workers/partitions
 # carries no scaling signal, so both the fresh and the baseline side must
