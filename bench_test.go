@@ -163,10 +163,14 @@ func BenchmarkBaselines(b *testing.B) {
 
 func BenchmarkLocalization(b *testing.B) {
 	cfg := rlir.DefaultLocalizationConfig()
-	cfg.Duration = benchScale().Duration / 2
-	var res rlir.LocalizationResult
+	cfg.Spec.Duration = benchScale().Duration / 2
+	cfg.Spec.Faults[0].End = cfg.Spec.Duration
+	var res *rlir.LocalizationResult
 	for i := 0; i < b.N; i++ {
-		res = rlir.RunLocalization(cfg)
+		var err error
+		if res, err = rlir.RunLocalization(cfg); err != nil {
+			b.Fatal(err)
+		}
 	}
 	renderOnce("L1", res.Render())
 	ok := 0.0

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"time"
 
+	"github.com/netmeasure/rlir/internal/runner"
 	"github.com/netmeasure/rlir/internal/scenario"
 )
 
@@ -61,7 +62,7 @@ func renderDemuxAblation(results []*scenario.Result) string {
 
 // demuxAblationMulti re-records A1 across derived seeds, one sweep per
 // strategy.
-func demuxAblationMulti(spec scenario.Spec, opts scenario.MultiOpts) ([]*scenario.MultiResult, error) {
+func demuxAblationMulti(spec scenario.Spec, opts runner.MultiOpts) ([]*scenario.MultiResult, error) {
 	out := make([]*scenario.MultiResult, 0, len(demuxStrategies))
 	for _, d := range demuxStrategies {
 		spec.Deploy.Demux = d

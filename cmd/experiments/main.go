@@ -25,7 +25,6 @@ import (
 	"time"
 
 	rlir "github.com/netmeasure/rlir"
-	"github.com/netmeasure/rlir/internal/scenario"
 )
 
 // validTargets is every -fig value, in -all order. An unknown -fig exits
@@ -121,7 +120,7 @@ func runScenario(name string, seed int64, haveSeed bool, seeds, parallel int, es
 		spec.Deploy.Estimators = estimators
 	}
 	if seeds > 1 {
-		mr, err := rlir.RunScenarioMulti(spec, rlir.ScenarioMultiOpts{Seeds: seeds, Workers: parallel})
+		mr, err := rlir.RunScenarioMulti(spec, rlir.MultiOpts{Seeds: seeds, Workers: parallel})
 		if err != nil {
 			return err
 		}
@@ -205,8 +204,12 @@ func run(target string, sc rlir.Scale) error {
 		fmt.Print(rlir.RunBaselines(sc, 0.85).Render())
 	case "L1":
 		cfg := rlir.DefaultLocalizationConfig()
-		cfg.Seed = sc.Seed
-		fmt.Print(rlir.RunLocalization(cfg).Render())
+		cfg.Spec.Seed = sc.Seed
+		r, err := rlir.RunLocalization(cfg)
+		if err != nil {
+			return err
+		}
+		fmt.Print(r.Render())
 	default:
 		return unknownTarget(target)
 	}
@@ -231,7 +234,7 @@ func runMulti(target string, sc rlir.Scale, opts rlir.MultiOpts) error {
 	case "scalars":
 		fmt.Print(rlir.MultiScalars(sc, opts).Render())
 	case "A1":
-		rows, err := demuxAblationMulti(demuxSpec(sc.Seed), scenario.MultiOpts{Seeds: opts.Seeds, Workers: opts.Workers})
+		rows, err := demuxAblationMulti(demuxSpec(sc.Seed), opts)
 		if err != nil {
 			return err
 		}
@@ -244,8 +247,12 @@ func runMulti(target string, sc rlir.Scale, opts rlir.MultiOpts) error {
 		fmt.Print(rlir.MultiBaselines(sc, 0.85, opts).Render())
 	case "L1":
 		cfg := rlir.DefaultLocalizationConfig()
-		cfg.Seed = sc.Seed
-		fmt.Print(rlir.MultiLocalization(cfg, opts).Render())
+		cfg.Spec.Seed = sc.Seed
+		r, err := rlir.MultiLocalization(cfg, opts)
+		if err != nil {
+			return err
+		}
+		fmt.Print(r.Render())
 	default:
 		return unknownTarget(target)
 	}

@@ -241,7 +241,7 @@ func execute(o options, spec rlir.ScenarioSpec, check func(*rlir.ScenarioResult)
 		}
 	}
 	if o.seeds > 1 {
-		mr, err := rlir.RunScenarioMulti(spec, rlir.ScenarioMultiOpts{Seeds: o.seeds, Workers: o.parallel})
+		mr, err := rlir.RunScenarioMulti(spec, rlir.MultiOpts{Seeds: o.seeds, Workers: o.parallel})
 		if err != nil {
 			return err
 		}

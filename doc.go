@@ -46,11 +46,11 @@
 //
 //   - Packet and flow identity (FlowKey, Addr, Prefix) and injection
 //     schemes (Static, Adaptive) — the paper's §3.2 mechanism surface.
-//   - Experiment harnesses (RunTandem, RunLocalization, the
-//     Fig4*/Fig5/Scalars/Ablation* reproductions) and their Multi* seed
-//     sweeps — every figure and table of §4; EXPERIMENTS.md records the
-//     paper-vs-measured comparison. Fat-tree deployments run on the
-//     scenario engine below.
+//   - Experiment harnesses (RunTandem, the Fig4*/Fig5/Scalars/Ablation*
+//     reproductions) and their Multi* seed sweeps — every figure and table
+//     of §4; EXPERIMENTS.md records the paper-vs-measured comparison.
+//     Fat-tree deployments, L1 localization (RunLocalization) included,
+//     run on the scenario engine below.
 //   - The unified estimator layer (MeasureEstimator, EstimatorNames,
 //     CompareEstimators): every measurement mechanism — RLI, LDA, NetFlow
 //     sampling, Multiflow — on one simulation pass, scored against shared

@@ -3,6 +3,7 @@ package rlir_test
 import (
 	"context"
 	"fmt"
+	"log"
 	"net"
 	"time"
 
@@ -45,9 +46,10 @@ func ExampleRunScenario() {
 // ExampleRunLocalization injects a 300µs fault at an aggregation switch
 // and lets the per-segment measurements point at it.
 func ExampleRunLocalization() {
-	cfg := rlir.DefaultLocalizationConfig()
-	cfg.Site = rlir.AnomalyDstAgg
-	res := rlir.RunLocalization(cfg)
+	res, err := rlir.RunLocalization(rlir.DefaultLocalizationConfig())
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println("localized:", res.Localized())
 	for _, a := range res.Anomalies {
 		fmt.Println(a)

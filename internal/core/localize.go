@@ -3,63 +3,45 @@ package core
 import (
 	"fmt"
 	"sort"
-	"strings"
 	"time"
 )
 
-// Segment pairs a name ("T1->C1") with the receiver measuring it. RLIR's
-// value proposition is that a path's segments are measured independently,
-// so a latency anomaly is localized to the segment whose distribution
-// shifted (§1: partial deployment costs only "an increase in the
-// localization granularity").
-type Segment struct {
-	Name     string
-	Receiver *Receiver
-}
-
-// SegmentReport is one segment's aggregate latency view.
+// SegmentReport is one measured path segment's latency level. RLIR's value
+// proposition is that a path's segments are measured independently, so a
+// latency anomaly is localized to the segment whose level shifted (§1:
+// partial deployment costs only "an increase in the localization
+// granularity").
 type SegmentReport struct {
-	Name    string
-	Packets uint64
-	Mean    time.Duration
-	P50     time.Duration
-	P99     time.Duration
-	Max     time.Duration
-}
-
-// Report summarizes a segment from its receiver's aggregate histogram.
-func (s Segment) Report() SegmentReport {
-	h := s.Receiver.AggregateHistogram()
-	return SegmentReport{
-		Name:    s.Name,
-		Packets: h.Count(),
-		Mean:    h.Mean(),
-		P50:     h.Quantile(0.5),
-		P99:     h.Quantile(0.99),
-		Max:     h.Max(),
-	}
+	// Name identifies the segment ("core0.1->tor3.0").
+	Name string
+	// Estimates counts the per-packet estimates behind Delay.
+	Estimates int64
+	// Delay is the segment's estimated latency level. Any location
+	// statistic works (a mean, a median) as long as the calibration and
+	// the examined reports of one segment use the same one.
+	Delay time.Duration
 }
 
 // Anomaly is a flagged segment.
 type Anomaly struct {
 	Segment  string
-	Mean     time.Duration
+	Delay    time.Duration
 	Baseline time.Duration
 	Ratio    float64
 }
 
 func (a Anomaly) String() string {
-	return fmt.Sprintf("%s: mean %v vs baseline %v (%.1fx)", a.Segment, a.Mean, a.Baseline, a.Ratio)
+	return fmt.Sprintf("%s: %v vs baseline %v (%.1fx)", a.Segment, a.Delay, a.Baseline, a.Ratio)
 }
 
-// Localizer flags segments whose mean latency exceeds Threshold times their
-// recorded baseline. Baselines come from a calibration run (or operator
-// knowledge); segments without a baseline are compared against the median
-// of all observed segment means.
+// Localizer flags segments whose latency level exceeds Threshold times
+// their recorded baseline. Baselines come from a calibration run (or
+// operator knowledge); segments without a baseline are compared against the
+// median level of all examined segments.
 type Localizer struct {
 	// Threshold is the ratio above which a segment is anomalous (e.g. 3.0).
 	Threshold float64
-	// Baseline maps segment name to its healthy mean latency.
+	// Baseline maps segment name to its healthy latency level.
 	Baseline map[string]time.Duration
 }
 
@@ -71,25 +53,21 @@ func NewLocalizer(threshold float64) *Localizer {
 	return &Localizer{Threshold: threshold, Baseline: make(map[string]time.Duration)}
 }
 
-// SetBaseline records a segment's healthy mean.
-func (l *Localizer) SetBaseline(segment string, mean time.Duration) {
-	l.Baseline[segment] = mean
+// SetBaseline records a segment's healthy latency level.
+func (l *Localizer) SetBaseline(segment string, delay time.Duration) {
+	l.Baseline[segment] = delay
 }
 
-// CalibrateFrom records every segment's current mean as its baseline.
-func (l *Localizer) CalibrateFrom(segments []Segment) {
-	for _, s := range segments {
-		l.SetBaseline(s.Name, s.Report().Mean)
+// CalibrateFrom records every report's level as its segment's baseline.
+func (l *Localizer) CalibrateFrom(reports []SegmentReport) {
+	for _, r := range reports {
+		l.SetBaseline(r.Name, r.Delay)
 	}
 }
 
 // Examine reports anomalous segments, most inflated first.
-func (l *Localizer) Examine(segments []Segment) []Anomaly {
-	reports := make([]SegmentReport, len(segments))
-	for i, s := range segments {
-		reports[i] = s.Report()
-	}
-	fallback := medianMean(reports)
+func (l *Localizer) Examine(reports []SegmentReport) []Anomaly {
+	fallback := medianDelay(reports)
 	var out []Anomaly
 	for _, rep := range reports {
 		base, ok := l.Baseline[rep.Name]
@@ -99,34 +77,23 @@ func (l *Localizer) Examine(segments []Segment) []Anomaly {
 		if base <= 0 {
 			continue
 		}
-		ratio := float64(rep.Mean) / float64(base)
+		ratio := float64(rep.Delay) / float64(base)
 		if ratio >= l.Threshold {
-			out = append(out, Anomaly{Segment: rep.Name, Mean: rep.Mean, Baseline: base, Ratio: ratio})
+			out = append(out, Anomaly{Segment: rep.Name, Delay: rep.Delay, Baseline: base, Ratio: ratio})
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Ratio > out[j].Ratio })
 	return out
 }
 
-func medianMean(reports []SegmentReport) time.Duration {
+func medianDelay(reports []SegmentReport) time.Duration {
 	if len(reports) == 0 {
 		return 0
 	}
-	ms := make([]time.Duration, len(reports))
+	ds := make([]time.Duration, len(reports))
 	for i, r := range reports {
-		ms[i] = r.Mean
+		ds[i] = r.Delay
 	}
-	sort.Slice(ms, func(i, j int) bool { return ms[i] < ms[j] })
-	return ms[len(ms)/2]
-}
-
-// FormatSegments renders segment reports as a table.
-func FormatSegments(segments []Segment) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-16s %10s %12s %12s %12s\n", "segment", "packets", "mean", "p50", "p99")
-	for _, s := range segments {
-		r := s.Report()
-		fmt.Fprintf(&b, "%-16s %10d %12v %12v %12v\n", r.Name, r.Packets, r.Mean, r.P50, r.P99)
-	}
-	return b.String()
+	sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
+	return ds[len(ds)/2]
 }

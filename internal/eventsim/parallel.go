@@ -49,7 +49,9 @@
 // global execution order at each barrier and applies them single-threaded.
 // Because effects are applied in exactly the order the sequential run would
 // have produced them, even order-sensitive folds (floating-point Welford
-// accumulators) come out bit-identical.
+// accumulators) come out bit-identical. A one-lane engine needs none of
+// this: its execution order is the global order, so Run drives the lane as
+// a sequential engine and Emit applies each effect as it is emitted.
 package eventsim
 
 import (
@@ -199,6 +201,12 @@ func (p *Parallel) Run(lookahead time.Duration) uint64 {
 	for _, l := range p.lanes {
 		l.extK = nil // setup is over; lanes stamp their own schedule indices
 	}
+	if len(p.lanes) == 1 {
+		// One lane's execution order is the global order: it runs as a
+		// sequential engine on the caller's goroutine, with no windows, and
+		// Emit applies each effect as it is emitted.
+		return p.lanes[0].Run()
+	}
 
 	work := make([]chan simtime.Time, len(p.lanes))
 	done := make(chan struct{}, len(p.lanes))
@@ -283,8 +291,13 @@ func (e *Engine) SendKind(dst *Engine, d time.Duration, kind Kind, a, b any) {
 // Emit defers one effect to the coordinator: h(at, a, b) runs at the next
 // barrier, after every effect of globally-earlier events and before every
 // effect of globally-later ones — the exact order a sequential run would
-// have produced. Only call from inside an executing event.
+// have produced. On a one-lane engine, whose order is already global, h
+// runs at once. Only call from inside an executing event.
 func (e *Engine) Emit(kind EffectKind, at simtime.Time, a, b any) {
+	if len(e.par.lanes) == 1 {
+		e.par.effects[kind](at, a, b)
+		return
+	}
 	e.effs = append(e.effs, effectRec{ord: e.ord, kind: kind, at: at, a: a, b: b})
 }
 

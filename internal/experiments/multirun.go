@@ -21,23 +21,6 @@ import (
 // the collector plane, so sweeps also produce the fleet-level flow table an
 // operator would see.
 
-// MultiOpts sizes a multi-seed sweep.
-type MultiOpts struct {
-	// Seeds is the number of independent runs (default 8 — enough for a
-	// meaningful t-interval without exploding CI time).
-	Seeds int
-	// Workers caps parallel runs (default GOMAXPROCS).
-	Workers int
-}
-
-func (o MultiOpts) normalized() MultiOpts {
-	if o.Seeds <= 0 {
-		o.Seeds = 8
-	}
-	o.Workers = runner.Workers(o.Workers)
-	return o
-}
-
 // column folds column i of per-seed metric rows into a stats.MetricCI.
 func column(rows [][]float64, i int) stats.MetricCI {
 	xs := make([]float64, 0, len(rows))
@@ -72,9 +55,8 @@ type MultiTandemResult struct {
 // a single-threaded hook — the way the hook is used everywhere else —
 // remains safe under parallel runs; calls may interleave across seeds in a
 // nondeterministic order.
-func MultiTandem(cfg TandemConfig, opts MultiOpts) MultiTandemResult {
-	opts = opts.normalized()
-	seeds := runner.Seeds(cfg.Scale.Seed, opts.Seeds)
+func MultiTandem(cfg TandemConfig, opts runner.MultiOpts) MultiTandemResult {
+	seeds := opts.SeedsFrom(cfg.Scale.Seed)
 	type runOut struct {
 		sum  core.Summary
 		util float64
@@ -165,16 +147,15 @@ func (f MultiFigure) Render() string {
 // multiFigure fans a single-seed figure harness across seeds and folds each
 // series' quantiles. Series identity (label, order) is seed-invariant, so
 // series are matched by index.
-func multiFigure(fig func(Scale) Figure, scale Scale, opts MultiOpts) MultiFigure {
-	opts = opts.normalized()
-	seeds := runner.Seeds(scale.Seed, opts.Seeds)
+func multiFigure(fig func(Scale) Figure, scale Scale, opts runner.MultiOpts) MultiFigure {
+	seeds := opts.SeedsFrom(scale.Seed)
 	figs := runner.Map(seeds, opts.Workers, func(i int, seed int64) Figure {
 		sc := scale
 		sc.Seed = seed
 		return fig(sc)
 	})
 
-	out := MultiFigure{SeedCount: opts.Seeds}
+	out := MultiFigure{SeedCount: len(seeds)}
 	if len(figs) == 0 {
 		return out
 	}
@@ -202,21 +183,21 @@ func multiFigure(fig func(Scale) Figure, scale Scale, opts MultiOpts) MultiFigur
 }
 
 // Fig4aMulti re-records Figure 4(a) as mean ± CI across seeds.
-func Fig4aMulti(scale Scale, opts MultiOpts) MultiFigure {
+func Fig4aMulti(scale Scale, opts runner.MultiOpts) MultiFigure {
 	f := multiFigure(Fig4a, scale, opts)
 	f.Notes = append(f.Notes, "paper shape: higher utilization -> lower relative error; adaptive <= static")
 	return f
 }
 
 // Fig4bMulti re-records Figure 4(b) as mean ± CI across seeds.
-func Fig4bMulti(scale Scale, opts MultiOpts) MultiFigure {
+func Fig4bMulti(scale Scale, opts runner.MultiOpts) MultiFigure {
 	f := multiFigure(Fig4b, scale, opts)
 	f.Notes = append(f.Notes, "paper shape: stddev estimates uniformly harder than means")
 	return f
 }
 
 // Fig4cMulti re-records Figure 4(c) as mean ± CI across seeds.
-func Fig4cMulti(scale Scale, opts MultiOpts) MultiFigure {
+func Fig4cMulti(scale Scale, opts runner.MultiOpts) MultiFigure {
 	f := multiFigure(Fig4c, scale, opts)
 	f.Notes = append(f.Notes, "paper shape: bursty cross traffic cuts relative error at equal utilization")
 	return f
@@ -236,9 +217,8 @@ type ScalarsCI struct {
 }
 
 // MultiScalars measures the scalar table at every derived seed.
-func MultiScalars(scale Scale, opts MultiOpts) ScalarsCI {
-	opts = opts.normalized()
-	seeds := runner.Seeds(scale.Seed, opts.Seeds)
+func MultiScalars(scale Scale, opts runner.MultiOpts) ScalarsCI {
+	seeds := opts.SeedsFrom(scale.Seed)
 	rows := runner.Map(seeds, opts.Workers, func(i int, seed int64) []float64 {
 		sc := scale
 		sc.Seed = seed
@@ -252,7 +232,7 @@ func MultiScalars(scale Scale, opts MultiOpts) ScalarsCI {
 		}
 	})
 	return ScalarsCI{
-		SeedCount:        opts.Seeds,
+		SeedCount:        len(seeds),
 		BaseUtil:         column(rows, 0),
 		AdaptiveGap:      column(rows, 1),
 		TrueMean67Random: column(rows, 2),
@@ -284,9 +264,8 @@ type EstimatorCI struct {
 }
 
 // MultiEstimators re-records ablation A2 across seeds.
-func MultiEstimators(scale Scale, targetUtil float64, opts MultiOpts) []EstimatorCI {
-	opts = opts.normalized()
-	seeds := runner.Seeds(scale.Seed, opts.Seeds)
+func MultiEstimators(scale Scale, targetUtil float64, opts runner.MultiOpts) []EstimatorCI {
+	seeds := opts.SeedsFrom(scale.Seed)
 	per := runner.Map(seeds, opts.Workers, func(i int, seed int64) []EstimatorRow {
 		sc := scale
 		sc.Seed = seed
@@ -327,9 +306,8 @@ type ClockCI struct {
 }
 
 // MultiClocks re-records ablation A3 across seeds.
-func MultiClocks(scale Scale, targetUtil float64, opts MultiOpts) []ClockCI {
-	opts = opts.normalized()
-	seeds := runner.Seeds(scale.Seed, opts.Seeds)
+func MultiClocks(scale Scale, targetUtil float64, opts runner.MultiOpts) []ClockCI {
+	seeds := opts.SeedsFrom(scale.Seed)
 	per := runner.Map(seeds, opts.Workers, func(i int, seed int64) []ClockRow {
 		sc := scale
 		sc.Seed = seed
@@ -370,9 +348,8 @@ type BaselineCI struct {
 }
 
 // MultiBaselines re-records ablation B1 across seeds.
-func MultiBaselines(scale Scale, targetUtil float64, opts MultiOpts) BaselineCI {
-	opts = opts.normalized()
-	seeds := runner.Seeds(scale.Seed, opts.Seeds)
+func MultiBaselines(scale Scale, targetUtil float64, opts runner.MultiOpts) BaselineCI {
+	seeds := opts.SeedsFrom(scale.Seed)
 	rows := runner.Map(seeds, opts.Workers, func(i int, seed int64) []float64 {
 		sc := scale
 		sc.Seed = seed
@@ -380,7 +357,7 @@ func MultiBaselines(scale Scale, targetUtil float64, opts MultiOpts) BaselineCI 
 		return []float64{r.RLIRMedian, r.MultiflowMedian, r.SampledMedian, r.LDAMeanErr}
 	})
 	return BaselineCI{
-		SeedCount:       opts.Seeds,
+		SeedCount:       len(seeds),
 		RLIRMedian:      column(rows, 0),
 		MultiflowMedian: column(rows, 1),
 		SampledMedian:   column(rows, 2),
@@ -397,66 +374,5 @@ func (r BaselineCI) Render() string {
 	fmt.Fprintf(&b, "%-22s %-20s %-10s\n", "Multiflow (2-sample)", r.MultiflowMedian, "per-flow")
 	fmt.Fprintf(&b, "%-22s %-20s %-10s\n", "NetFlow 1-in-32", r.SampledMedian, "per-flow")
 	fmt.Fprintf(&b, "%-22s %-20s %-10s\n", "LDA (aggregate err)", r.LDAMeanErr, "aggregate")
-	return b.String()
-}
-
-// LocalizationCI re-records L1 across seeds.
-type LocalizationCI struct {
-	SeedCount int
-	// SuccessRate is the fraction of seeds whose fault was localized to
-	// exactly the truly faulty segment set.
-	SuccessRate float64
-	// FaultyInflation is the across-seed distribution of the mean
-	// faulty/baseline latency ratio over the truly faulty segments.
-	FaultyInflation stats.MetricCI
-}
-
-// MultiLocalization re-records the L1 scenario across seeds.
-func MultiLocalization(cfg LocalizationConfig, opts MultiOpts) LocalizationCI {
-	opts = opts.normalized()
-	seeds := runner.Seeds(cfg.Seed, opts.Seeds)
-	type out struct {
-		ok        bool
-		inflation float64
-	}
-	outs := runner.Map(seeds, opts.Workers, func(i int, seed int64) out {
-		c := cfg
-		c.Seed = seed
-		r := RunLocalization(c)
-		expected := map[string]bool{}
-		for _, s := range r.ExpectedSegments {
-			expected[s] = true
-		}
-		var ratio float64
-		var n int
-		for i := range r.Baseline {
-			if expected[r.Baseline[i].Name] && r.Baseline[i].Mean > 0 {
-				ratio += float64(r.Faulty[i].Mean) / float64(r.Baseline[i].Mean)
-				n++
-			}
-		}
-		if n > 0 {
-			ratio /= float64(n)
-		}
-		return out{ok: r.Localized(), inflation: ratio}
-	})
-	res := LocalizationCI{SeedCount: opts.Seeds}
-	var inflations []float64
-	for _, o := range outs {
-		if o.ok {
-			res.SuccessRate += 1 / float64(len(outs))
-		}
-		inflations = append(inflations, o.inflation)
-	}
-	res.FaultyInflation = stats.MetricOf(inflations)
-	return res
-}
-
-// Render formats multi-seed L1.
-func (r LocalizationCI) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "== L1: anomaly localization (over %d seeds) ==\n", r.SeedCount)
-	fmt.Fprintf(&b, "localized correctly: %.0f%% of seeds\n", r.SuccessRate*100)
-	fmt.Fprintf(&b, "faulty-segment inflation (faulty/baseline mean): %s\n", r.FaultyInflation)
 	return b.String()
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/netmeasure/rlir/internal/core"
+	"github.com/netmeasure/rlir/internal/runner"
 )
 
 // tinyScale keeps multi-seed sweeps affordable in unit tests.
@@ -30,8 +31,8 @@ func TestMultiTandemWorkerInvariance(t *testing.T) {
 		Model:      CrossUniform,
 		TargetUtil: 0.9,
 	}
-	seq := MultiTandem(cfg, MultiOpts{Seeds: 3, Workers: 1})
-	par := MultiTandem(cfg, MultiOpts{Seeds: 3, Workers: 3})
+	seq := MultiTandem(cfg, runner.MultiOpts{Seeds: 3, Workers: 1})
+	par := MultiTandem(cfg, runner.MultiOpts{Seeds: 3, Workers: 3})
 
 	if !reflect.DeepEqual(seq.PerSeed, par.PerSeed) {
 		t.Fatal("per-seed summaries differ across worker counts")
@@ -55,7 +56,7 @@ func TestMultiTandemStatistics(t *testing.T) {
 		Model:      CrossUniform,
 		TargetUtil: 0.9,
 	}
-	r := MultiTandem(cfg, MultiOpts{Seeds: 3})
+	r := MultiTandem(cfg, runner.MultiOpts{Seeds: 3})
 	if len(r.Seeds) != 3 || len(r.PerSeed) != 3 {
 		t.Fatalf("got %d seeds, %d summaries", len(r.Seeds), len(r.PerSeed))
 	}

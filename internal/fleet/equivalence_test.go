@@ -451,3 +451,122 @@ func TestFrontendRollupAnnotatesInstances(t *testing.T) {
 		t.Fatalf("fleet tracks %d flows across rollups, single node holds %d", tracked, len(tr.Result.Fleet))
 	}
 }
+
+// badPeerFleet fronts one honest instance holding flow key at ~49.7µs and
+// the given stub peer. It returns the front-end URL and the honest
+// instance's snapshot — the healthy subset the fleet must answer with.
+func badPeerFleet(t *testing.T, key packet.FlowKey, peer http.HandlerFunc) (string, []collector.FlowAgg) {
+	t.Helper()
+	stub := httptest.NewServer(peer)
+	t.Cleanup(stub.Close)
+	s, err := service.New(service.Config{Listen: "127.0.0.1:0", HTTP: "127.0.0.1:0", Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = s.Shutdown(context.Background()) })
+	honest := make([]collector.Sample, 20)
+	for i := range honest {
+		honest[i] = collector.Sample{Key: key, Est: 49700 * time.Nanosecond}
+	}
+	s.Collector().Ingest(honest)
+	for s.Collector().SamplesIngested() < uint64(len(honest)) {
+		time.Sleep(time.Millisecond)
+	}
+	front, err := fleet.NewFrontend(fleet.FrontendConfig{
+		Instances: []string{"http://" + s.HTTPAddr().String(), stub.URL},
+		Timeout:   5 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(front.Handler())
+	t.Cleanup(srv.Close)
+	return srv.URL, s.Snapshot()
+}
+
+// assertHealthySubset checks the front-end's /flows is exactly the honest
+// instance's rows and that the bad peer counted as a gather error.
+func assertHealthySubset(t *testing.T, url string, want []collector.FlowAgg) {
+	t.Helper()
+	var flows []queryapi.FlowJSON
+	if code := getJSON(t, url+"/flows", &flows); code != http.StatusOK {
+		t.Fatalf("/flows status %d with one bad peer, want 200 degraded", code)
+	}
+	if len(flows) != len(want) {
+		t.Fatalf("/flows has %d rows, the healthy instance holds %d", len(flows), len(want))
+	}
+	for i := range want {
+		if flows[i] != queryapi.FlowRow(&want[i]) {
+			t.Fatalf("flow %d: got %+v, want the healthy instance's %+v", i, flows[i], queryapi.FlowRow(&want[i]))
+		}
+	}
+	resp, err := http.Get(url + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(body), "rlirfleet_gather_errors_total 0\n") ||
+		!strings.Contains(string(body), "rlirfleet_gather_errors_total ") {
+		t.Fatalf("bad peer not counted as a gather error:\n%s", body)
+	}
+}
+
+// TestFrontendRejectsOversizedPeer pins the body bound: a peer whose
+// otherwise valid snapshot (one extra flow) arrives behind MaxPeerBody
+// bytes of padding is a failed gather, not an unbounded read.
+func TestFrontendRejectsOversizedPeer(t *testing.T) {
+	key := packet.FlowKey{Src: 0x0a000001, Dst: 0x0a000002, SrcPort: 1000, DstPort: 443, Proto: packet.ProtoTCP}
+	other := collector.New(collector.Config{Shards: 1})
+	other.Ingest([]collector.Sample{{Key: packet.FlowKey{Src: 0x0a000003, Dst: 0x0a000004, Proto: packet.ProtoTCP}, Est: time.Microsecond}})
+	other.Close()
+	body, err := json.Marshal(queryapi.SnapshotOf(other.Snapshot(), 1, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	url, want := badPeerFleet(t, key, func(w http.ResponseWriter, r *http.Request) {
+		pad := []byte(strings.Repeat(" ", 1<<16))
+		for sent := 0; sent < fleet.MaxPeerBody; sent += len(pad) {
+			if _, err := w.Write(pad); err != nil {
+				return
+			}
+		}
+		w.Write(body)
+	})
+	assertHealthySubset(t, url, want)
+}
+
+// TestFrontendRejectsInflatedSketchPeer is the fleet half of the sketch
+// state check: a peer whose sketch claims 50x the mass its buckets hold
+// would drag the merged p50 from the honest 49.7µs to its own 100µs; the
+// front-end degrades that peer instead.
+func TestFrontendRejectsInflatedSketchPeer(t *testing.T) {
+	key := packet.FlowKey{Src: 0x0a000001, Dst: 0x0a000002, SrcPort: 1000, DstPort: 443, Proto: packet.ProtoTCP}
+	liar := collector.New(collector.Config{Shards: 1})
+	forged := make([]collector.Sample, 20)
+	for i := range forged {
+		forged[i] = collector.Sample{Key: key, Est: 100 * time.Microsecond}
+	}
+	liar.Ingest(forged)
+	liar.Close()
+	snap := queryapi.SnapshotOf(liar.Snapshot(), uint64(len(forged)), 0)
+	snap.Flows[0].Sketch.Count *= 50
+	body, err := json.Marshal(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	url, want := badPeerFleet(t, key, func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		w.Write(body)
+	})
+
+	// The forgery bites when merged unchecked.
+	naive := collector.Merge(want, snap.Aggs())
+	if honest, forged := want[0].Sketch.Quantile(0.5), naive[0].Sketch.Quantile(0.5); forged < 1.9*honest {
+		t.Fatalf("unchecked merge p50 %v vs honest %v: the forged peer should dominate", forged, honest)
+	}
+	assertHealthySubset(t, url, want)
+}

@@ -78,6 +78,11 @@ func NewFrontend(cfg FrontendConfig) (*Frontend, error) {
 // Instances returns the configured instance count.
 func (f *Frontend) Instances() int { return len(f.cfg.Instances) }
 
+// MaxPeerBody caps how much of one instance response the front-end reads.
+// Snapshots of the benchmark captures are about 0.5 MB; a body past the cap
+// is a failed gather (the instance is degraded), never an unbounded read.
+const MaxPeerBody = 64 << 20
+
 // fetch is one instance's response to a fan-out: the decoded body, or the
 // transport/decode error that kept it out of the merge.
 type fetch struct {
@@ -109,9 +114,13 @@ func (f *Frontend) gather(ctx context.Context, path string) []fetch {
 				return
 			}
 			defer resp.Body.Close()
-			body, err := io.ReadAll(resp.Body)
+			body, err := io.ReadAll(io.LimitReader(resp.Body, MaxPeerBody+1))
 			if err != nil {
 				out[i].err = err
+				return
+			}
+			if len(body) > MaxPeerBody {
+				out[i].err = fmt.Errorf("%s%s: body exceeds %d bytes", in, path, MaxPeerBody)
 				return
 			}
 			// /healthz deliberately answers 503 while draining with a valid

@@ -217,13 +217,20 @@ type Snapshot struct {
 	Flows   []FlowState `json:"flows"`
 }
 
-// Check validates the snapshot's schema version against this binary's.
-// A mismatch (including the implicit version 0 of a pre-versioning
-// instance) is an error naming both versions, so a mixed-version fleet
-// fails loudly at gather time rather than merging lossily.
+// Check validates the snapshot's schema version against this binary's and
+// every flow's sketch state against its invariants. A version mismatch
+// (including the implicit version 0 of a pre-versioning instance) is an
+// error naming both versions, so a mixed-version fleet fails loudly at
+// gather time rather than merging lossily; an inconsistent sketch names the
+// flow, so one bad peer is degraded instead of skewing the merge.
 func (s Snapshot) Check() error {
 	if s.Version != SnapshotVersion {
 		return fmt.Errorf("queryapi: snapshot version %d from peer, this binary speaks version %d (mixed-version fleet?)", s.Version, SnapshotVersion)
+	}
+	for i := range s.Flows {
+		if err := s.Flows[i].Sketch.Validate(); err != nil {
+			return fmt.Errorf("queryapi: snapshot flow %d: %w", i, err)
+		}
 	}
 	return nil
 }

@@ -13,6 +13,7 @@ import (
 	"github.com/netmeasure/rlir/internal/netflow"
 	"github.com/netmeasure/rlir/internal/packet"
 	"github.com/netmeasure/rlir/internal/simtime"
+	"github.com/netmeasure/rlir/internal/stats"
 )
 
 // buildSnapshot runs a real collector over a random stream and returns its
@@ -190,4 +191,76 @@ func TestRollupRowsMatchesAggDerivation(t *testing.T) {
 	if got.Router.Src != "" || got.Router.Samples != roll.Root.Est.N() {
 		t.Fatalf("router row diverges: %+v", got.Router)
 	}
+}
+
+// TestSnapshotCheckRejectsInconsistentSketch pins the peer-state check: a
+// sketch whose count disagrees with its bucket mass, or whose window leaves
+// the structural bucket range, fails Check and names the flow.
+func TestSnapshotCheckRejectsInconsistentSketch(t *testing.T) {
+	good := SnapshotOf(buildSnapshot(t, 3), 0, 0)
+	if err := good.Check(); err != nil {
+		t.Fatalf("honest snapshot rejected: %v", err)
+	}
+	for name, mutate := range map[string]func(*FlowState){
+		"inflated count": func(f *FlowState) { f.Sketch.Count *= 50 },
+		"missing count":  func(f *FlowState) { f.Sketch.Count-- },
+		"negative base":  func(f *FlowState) { f.Sketch.Base = -1 },
+		"window past max": func(f *FlowState) {
+			f.Sketch.Base = int32(stats.SketchMaxBuckets - len(f.Sketch.Buckets) + 1)
+		},
+	} {
+		bad := SnapshotOf(buildSnapshot(t, 3), 0, 0)
+		last := len(bad.Flows) - 1
+		mutate(&bad.Flows[last])
+		err := bad.Check()
+		if err == nil {
+			t.Fatalf("%s: accepted", name)
+		}
+		if !strings.Contains(err.Error(), fmt.Sprintf("flow %d", last)) {
+			t.Fatalf("%s: error must name flow %d, got: %v", name, last, err)
+		}
+	}
+}
+
+// FuzzSnapshotCheck decodes arbitrary bytes as a peer snapshot. Check and
+// Aggs must never panic, and whatever passes Check must survive the
+// Aggs -> SnapshotOf round trip unchanged.
+func FuzzSnapshotCheck(f *testing.F) {
+	// Seeds stay small (a few narrow sketches): the mutator makes little
+	// progress on inputs the size of a real collector snapshot.
+	coll := collector.New(collector.Config{Shards: 1})
+	for i := 0; i < 6; i++ {
+		coll.Ingest([]collector.Sample{{
+			Key: packet.FlowKey{Src: packet.Addr(i % 2), Dst: 1, SrcPort: 1, DstPort: 2, Proto: packet.ProtoTCP},
+			Est: time.Duration(40+4*i) * time.Microsecond,
+		}})
+	}
+	coll.Close()
+	b, err := json.Marshal(SnapshotOf(coll.Snapshot(), 6, 0))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(b)
+	f.Add([]byte(`{"version":3,"flows":[{"sketch":{"count":2,"zero":1,"base":4,"buckets":[1]}}]}`))
+	f.Add([]byte(`{"version":3,"flows":[{"sketch":{"count":100,"base":2047,"buckets":[1,1]}}]}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var s Snapshot
+		if json.Unmarshal(data, &s) != nil {
+			return
+		}
+		if s.Check() != nil {
+			return
+		}
+		rt := SnapshotOf(s.Aggs(), s.Samples, s.Records)
+		if len(rt.Flows) != len(s.Flows) {
+			t.Fatalf("round trip kept %d of %d flows", len(rt.Flows), len(s.Flows))
+		}
+		for i := range s.Flows {
+			want, _ := json.Marshal(s.Flows[i])
+			got, _ := json.Marshal(rt.Flows[i])
+			if string(want) != string(got) {
+				t.Fatalf("flow %d changed in round trip:\n%s\n%s", i, want, got)
+			}
+		}
+	})
 }

@@ -14,6 +14,27 @@ import (
 // Seeds derives n independent, reproducible run seeds from base.
 func Seeds(base int64, n int) []int64 { return trace.DeriveSeeds(base, n) }
 
+// MultiOpts sizes a multi-seed sweep.
+type MultiOpts struct {
+	// Seeds is the number of independent runs (<= 0 uses DefaultSeeds).
+	Seeds int
+	// Workers caps parallel runs (<= 0 uses GOMAXPROCS).
+	Workers int
+}
+
+// DefaultSeeds is the sweep size when MultiOpts.Seeds is unset: enough for
+// a meaningful t-interval without exploding CI time.
+const DefaultSeeds = 8
+
+// SeedsFrom derives the sweep's run seeds from base.
+func (o MultiOpts) SeedsFrom(base int64) []int64 {
+	n := o.Seeds
+	if n <= 0 {
+		n = DefaultSeeds
+	}
+	return Seeds(base, n)
+}
+
 // Workers normalizes a worker-count knob: values <= 0 mean GOMAXPROCS.
 func Workers(n int) int {
 	if n <= 0 {

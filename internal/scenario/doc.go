@@ -16,6 +16,9 @@
 //
 //   - Run / RunSeed execute one spec; RunMulti sweeps derived seeds in
 //     parallel and reports mean ± 95% CI.
+//   - Localize (localize.go) is L1: it runs a fat-tree spec against its
+//     fault-free calibration run at the same seed and localizes the
+//     inflated per-router segments; MultiLocalize folds it across seeds.
 //   - Names / Get / All enumerate the registry; Scenario.RunCheck enforces
 //     a registered scenario's invariant.
 //   - DecodeJSON / Spec.EncodeJSON are the JSON front-end used by

@@ -174,12 +174,41 @@ func misattribution(cs []*countingDemux) float64 {
 	return 1 - float64(agree)/float64(total)
 }
 
-// estSample carries one deferred OnEstimate observation from a lane to the
-// barrier's single-threaded apply.
+// estSample is one deferred OnEstimate observation.
 type estSample struct {
 	key        packet.FlowKey
 	est, truth time.Duration
 }
+
+// estFIFO carries one monitored-ToR receiver's OnEstimate observations from
+// its lane to the single-threaded effect apply. One receiver's effects apply
+// in emission order, so each effect pops the head, and the queue empties at
+// every barrier (on one lane, at every estimate).
+type estFIFO struct {
+	q    []estSample
+	head int
+}
+
+func (f *estFIFO) push(s estSample) { f.q = append(f.q, s) }
+
+func (f *estFIFO) pop() estSample {
+	s := f.q[f.head]
+	f.head++
+	if f.head == len(f.q) {
+		f.q, f.head = f.q[:0], 0
+	}
+	return s
+}
+
+// Router segment labels (RouterStats.Segment).
+const (
+	segmentUp   = "tor-uplink->core"
+	segmentDown = "core->tor"
+)
+
+// downstreamSegment names the core (j,i) -> monitored ToR (p,e) segment
+// (SegmentStats.Name).
+func downstreamSegment(j, i, p, e int) string { return fmt.Sprintf("core%d.%d->tor%d.%d", j, i, p, e) }
 
 // routerRx pairs a receiver with its identity and tail accumulators.
 type routerRx struct {
@@ -192,20 +221,11 @@ type routerRx struct {
 	down bool
 }
 
-// runFatTree composes and executes a fat-tree scenario.
+// runFatTree composes and executes a fat-tree scenario. Every run is on the
+// conservative parallel engine; the sequential engine is its one-lane case.
 func runFatTree(spec Spec, seed int64, cap *capture) (*Result, error) {
-	var (
-		eng *eventsim.Engine
-		pe  *eventsim.Parallel
-		nw  *netsim.Network
-	)
-	if spec.parallel() {
-		pe = eventsim.NewParallel(spec.partitions())
-		nw = netsim.NewParallel(pe)
-	} else {
-		eng = eventsim.New()
-		nw = netsim.New(eng)
-	}
+	pe := eventsim.NewParallel(spec.lanes())
+	nw := netsim.NewParallel(pe)
 	tc := topo.DefaultConfig()
 	tc.K = spec.Topology.K
 	tc.LinkBps = spec.Topology.LinkBps
@@ -221,12 +241,10 @@ func runFatTree(spec Spec, seed int64, cap *capture) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if pe != nil {
-		// Place cores on lane 0 and pods on the remaining lanes before any
-		// instrument or event binds a node to its engine.
-		if err := ft.Partition(); err != nil {
-			return nil, err
-		}
+	// Place cores on lane 0 and pods on the remaining lanes (a no-op on one
+	// lane) before any instrument or event binds a node to its engine.
+	if err := ft.Partition(); err != nil {
+		return nil, err
 	}
 	nw.SetTracePaths(true) // oracle demux + misattribution audit
 
@@ -305,7 +323,7 @@ func runFatTree(spec Spec, seed int64, cap *capture) (*Result, error) {
 			}
 			routers = append(routers, &routerRx{
 				name:    ft.Cores[j][i].Name(),
-				segment: "tor-uplink->core",
+				segment: segmentUp,
 				rx:      rx,
 				rec:     rec,
 			})
@@ -409,59 +427,47 @@ func runFatTree(spec Spec, seed int64, cap *capture) (*Result, error) {
 
 	// Replicated workloads record each copy's edge arrival by packet ID.
 	// Both maps are filled at injection time (pre-run, single-threaded);
-	// arrival writes happen inline on sequential runs and only inside the
-	// single-threaded deferred-effect apply on parallel runs, and a write
-	// keyed by the packet's unique ID is order-independent either way.
+	// arrival writes happen only inside the single-threaded deferred-effect
+	// apply, and a write keyed by the packet's unique ID is order-independent.
 	var (
 		repArrivals map[uint64]simtime.Time
 		repWanted   map[uint64]bool
 	)
 
-	// Parallel runs feed the shared measurement plane (dispatch, collector
-	// sink, export capture) through deferred effects: lanes log observations
+	// The shared measurement plane (dispatch, collector sink, export
+	// capture) is fed through deferred effects: lanes log observations
 	// during a window and the barrier applies them single-threaded in global
-	// event order — exactly the order the sequential engine runs these taps
-	// in. Receiver-local state (rec, rli, counting) stays synchronous on its
+	// event order — exactly the order a single heap runs these taps in.
+	// Receiver-local state (rec, rli, counting) stays synchronous on its
 	// lane. The packet fields the deferred consumers read (Key, Size, TOS,
 	// SegmentStart) are all stable between the tap instant and the barrier.
-	var effStart, effEnd, effEst eventsim.EffectKind
-	if pe != nil {
-		effStart = pe.RegisterEffect(func(at simtime.Time, a, _ any) {
-			shared.TapStart(a.(*packet.Packet), at)
-		})
-		effEnd = pe.RegisterEffect(func(at simtime.Time, a, _ any) {
-			pk := a.(*packet.Packet)
-			shared.TapEnd(pk, at)
-			cap.observe(pk, at)
-			if repWanted[pk.ID] {
-				repArrivals[pk.ID] = at
-			}
-		})
-		effEst = pe.RegisterEffect(func(_ simtime.Time, a, _ any) {
-			s := a.(*estSample)
-			sink.Add(s.key, s.est, s.truth)
-			cap.addSample(s.key, s.est, s.truth)
-		})
-	}
+	effStart := pe.RegisterEffect(func(at simtime.Time, a, _ any) {
+		shared.TapStart(a.(*packet.Packet), at)
+	})
+	effEnd := pe.RegisterEffect(func(at simtime.Time, a, _ any) {
+		pk := a.(*packet.Packet)
+		shared.TapEnd(pk, at)
+		cap.observe(pk, at)
+		if repWanted[pk.ID] {
+			repArrivals[pk.ID] = at
+		}
+	})
+	effEst := pe.RegisterEffect(func(_ simtime.Time, a, _ any) {
+		s := a.(*estFIFO).pop()
+		sink.Add(s.key, s.est, s.truth)
+		cap.addSample(s.key, s.est, s.truth)
+	})
 
 	for _, p := range monPods {
 		for j := 0; j < h; j++ {
 			for i := 0; i < h; i++ {
 				port := ft.CoreDownPort(j, i, p)
-				if pe != nil {
-					le := port.Node().Engine()
-					port.OnTxStart(func(pk *packet.Packet, now simtime.Time) {
-						if upAccept(pk) {
-							le.Emit(effStart, now, pk, nil)
-						}
-					})
-				} else {
-					port.OnTxStart(func(pk *packet.Packet, now simtime.Time) {
-						if upAccept(pk) {
-							shared.TapStart(pk, now)
-						}
-					})
-				}
+				le := port.Node().Engine()
+				port.OnTxStart(func(pk *packet.Packet, now simtime.Time) {
+					if upAccept(pk) {
+						le.Emit(effStart, now, pk, nil)
+					}
+				})
 			}
 		}
 	}
@@ -478,36 +484,16 @@ func runFatTree(spec Spec, seed int64, cap *capture) (*Result, error) {
 			sp, _, _, ok := ft.LocateHost(pk.Key.Src)
 			return pk.Kind == packet.Regular && ok && sp != p
 		}
-		onEstimate := func(key packet.FlowKey, est, truth time.Duration) {
-			rec.record(est, truth)
-			sink.Add(key, est, truth)
-			cap.addSample(key, est, truth)
-		}
-		endTap := func(pk *packet.Packet, now simtime.Time) {
-			if accept(pk) {
-				shared.TapEnd(pk, now)
-				cap.observe(pk, now)
-				if repWanted[pk.ID] {
-					repArrivals[pk.ID] = now
-				}
-			}
-		}
-		if pe != nil {
-			le := ft.ToRs[p][e].Engine()
-			onEstimate = func(key packet.FlowKey, est, truth time.Duration) {
-				rec.record(est, truth)
-				le.Emit(effEst, le.Now(), &estSample{key: key, est: est, truth: truth}, nil)
-			}
-			endTap = func(pk *packet.Packet, now simtime.Time) {
-				if accept(pk) {
-					le.Emit(effEnd, now, pk, nil)
-				}
-			}
-		}
+		le := ft.ToRs[p][e].Engine()
+		ests := &estFIFO{}
 		rli, err := measure.NewRLI(ft.ToRs[p][e].Name(), core.ReceiverConfig{
-			Demux:      counting,
-			Accept:     accept,
-			OnEstimate: onEstimate,
+			Demux:  counting,
+			Accept: accept,
+			OnEstimate: func(key packet.FlowKey, est, truth time.Duration) {
+				rec.record(est, truth)
+				ests.push(estSample{key: key, est: est, truth: truth})
+				le.Emit(effEst, le.Now(), ests, nil)
+			},
 		})
 		if err != nil {
 			return nil, err
@@ -516,11 +502,15 @@ func runFatTree(spec Spec, seed int64, cap *capture) (*Result, error) {
 		for hh := 0; hh < h; hh++ {
 			port := ft.ToRHostPort(p, e, hh)
 			port.OnTxStart(rli.Tap)
-			port.OnTxStart(endTap)
+			port.OnTxStart(func(pk *packet.Packet, now simtime.Time) {
+				if accept(pk) {
+					le.Emit(effEnd, now, pk, nil)
+				}
+			})
 		}
 		routers = append(routers, &routerRx{
 			name:    ft.ToRs[p][e].Name(),
-			segment: "core->tor",
+			segment: segmentDown,
 			rx:      rli.Receiver(),
 			rec:     rec,
 			tor:     m,
@@ -530,8 +520,7 @@ func runFatTree(spec Spec, seed int64, cap *capture) (*Result, error) {
 
 	// --- Faults: scheduled state changes on the running topology. Each
 	// fault runs on the engine of the node whose state it mutates, so a
-	// partitioned run never touches another lane's ports mid-window (on a
-	// sequential network every node's engine is the network's engine).
+	// partitioned run never touches another lane's ports mid-window.
 	for _, f := range spec.sortedFaults() {
 		f := f
 		switch f.Kind {
@@ -602,18 +591,14 @@ func runFatTree(spec Spec, seed int64, cap *capture) (*Result, error) {
 			repWanted[pr.rep] = true
 		}
 	}
-	if pe != nil {
-		// The lookahead is the smallest cross-lane propagation delay — with
-		// the pod/core partition map, the core-link propagation (plus any
-		// skew). A single-lane run has no cross traffic; any window works.
-		la, ok := nw.MinCrossPropagation()
-		if !ok {
-			la = time.Millisecond
-		}
-		pe.Run(la)
-	} else {
-		eng.Run()
+	// The lookahead is the smallest cross-lane propagation delay — with the
+	// pod/core partition map, the core-link propagation (plus any skew). A
+	// single-lane run has no cross traffic; any window works.
+	la, ok := nw.MinCrossPropagation()
+	if !ok {
+		la = time.Millisecond
 	}
+	pe.Run(la)
 
 	// --- Harvest.
 	res := &Result{Spec: spec, Seed: seed, Injected: injected}
@@ -669,7 +654,7 @@ func runFatTree(spec Spec, seed int64, cap *capture) (*Result, error) {
 
 	for sk, frs := range segFlows {
 		seg := SegmentStats{
-			Name:  fmt.Sprintf("core%d.%d->tor%d.%d", sk.j, sk.i, sk.p, sk.e),
+			Name:  downstreamSegment(sk.j, sk.i, sk.p, sk.e),
 			Flows: len(frs),
 		}
 		var estW, trueW float64

@@ -3,6 +3,8 @@ package scenario
 import (
 	"testing"
 	"time"
+
+	"github.com/netmeasure/rlir/internal/runner"
 )
 
 // quickSpec is a fat-tree spec small enough for property tests.
@@ -134,11 +136,11 @@ func TestFaultWindowRestores(t *testing.T) {
 func TestRunMultiWorkerInvariance(t *testing.T) {
 	s := quickSpec()
 	s.Duration = 40 * time.Millisecond
-	seq, err := RunMulti(s, MultiOpts{Seeds: 4, Workers: 1})
+	seq, err := RunMulti(s, runner.MultiOpts{Seeds: 4, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := RunMulti(s, MultiOpts{Seeds: 4, Workers: 4})
+	par, err := RunMulti(s, runner.MultiOpts{Seeds: 4, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +165,7 @@ func TestRunRejectsInvalidSpec(t *testing.T) {
 	if _, err := Run(s); err == nil {
 		t.Fatal("Run accepted an invalid spec")
 	}
-	if _, err := RunMulti(s, MultiOpts{Seeds: 2}); err == nil {
+	if _, err := RunMulti(s, runner.MultiOpts{Seeds: 2}); err == nil {
 		t.Fatal("RunMulti accepted an invalid spec")
 	}
 }

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/netmeasure/rlir/internal/runner"
 )
 
 // TestSinglePassEquivalenceFatTree is the single-pass contract: attaching
@@ -157,7 +159,7 @@ func TestUnknownEstimatorRejected(t *testing.T) {
 func TestMultiResultEstimatorCIs(t *testing.T) {
 	s := quickSpec()
 	s.Duration = 40 * time.Millisecond
-	mr, err := RunMulti(s, MultiOpts{Seeds: 2, Workers: 1})
+	mr, err := RunMulti(s, runner.MultiOpts{Seeds: 2, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

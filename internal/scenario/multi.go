@@ -10,14 +10,6 @@ import (
 	"github.com/netmeasure/rlir/internal/stats"
 )
 
-// MultiOpts sizes a multi-seed scenario sweep.
-type MultiOpts struct {
-	// Seeds is the number of independent runs (default 8).
-	Seeds int
-	// Workers caps parallel runs (<= 0 uses GOMAXPROCS).
-	Workers int
-}
-
 // Metric is one scalar's across-seed distribution: mean ± 95% CI
 // (Student-t) — the same statistic the figure harnesses report.
 type Metric = stats.MetricCI
@@ -212,14 +204,11 @@ func estimatorCIs(perSeed []*Result) []EstimatorCI {
 // RunMulti runs the spec at opts.Seeds SplitMix64-derived seeds fanned
 // across the runner pool. Per-run simulations stay single-goroutine and
 // deterministic; the result is identical for any worker count.
-func RunMulti(spec Spec, opts MultiOpts) (*MultiResult, error) {
+func RunMulti(spec Spec, opts runner.MultiOpts) (*MultiResult, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	if opts.Seeds <= 0 {
-		opts.Seeds = 8
-	}
-	seeds := runner.Seeds(spec.Seed, opts.Seeds)
+	seeds := opts.SeedsFrom(spec.Seed)
 	type out struct {
 		res *Result
 		err error

@@ -28,8 +28,8 @@ const (
 
 // Simulation engine kinds.
 const (
-	// EngineSequential runs the whole scenario on one event engine — the
-	// default, and the reference semantics.
+	// EngineSequential runs the whole scenario on one lane of the engine —
+	// the default, and the reference semantics.
 	EngineSequential = "sequential"
 	// EngineParallel partitions the fat-tree across a conservative parallel
 	// engine (core switches on one lane, pods round-robin across the rest)
@@ -385,15 +385,17 @@ func DecodeJSON(data []byte) (Spec, error) {
 // half returns K/2, the fat-tree's per-layer fan-out.
 func (s Spec) half() int { return s.Topology.K / 2 }
 
-// parallel reports whether the spec selects the parallel engine.
-func (s Spec) parallel() bool { return s.Engine == EngineParallel }
-
-// partitions resolves the effective lane count for the parallel engine.
-func (s Spec) partitions() int {
-	if s.Partitions == 0 {
+// lanes resolves the engine's lane count: one for the sequential engine,
+// Partitions (0: K+1) for the parallel one.
+func (s Spec) lanes() int {
+	switch {
+	case s.Engine != EngineParallel:
+		return 1
+	case s.Partitions == 0:
 		return s.Topology.K + 1
+	default:
+		return s.Partitions
 	}
-	return s.Partitions
 }
 
 // destPod resolves the default destination pod (last pod).

@@ -9,6 +9,7 @@ import (
 
 	"github.com/netmeasure/rlir/internal/measure"
 	"github.com/netmeasure/rlir/internal/packet"
+	"github.com/netmeasure/rlir/internal/runner"
 )
 
 func telemetryTestReport(n int) measure.Report {
@@ -135,7 +136,7 @@ func TestTelemetryLossScenarioMulti(t *testing.T) {
 	if !ok {
 		t.Fatal("telemetry-loss not registered")
 	}
-	mr, err := RunMulti(sc.Spec, MultiOpts{Seeds: 4})
+	mr, err := RunMulti(sc.Spec, runner.MultiOpts{Seeds: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -257,8 +257,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	ts := s.coll.Stats()
-	p("# HELP rlird_flows Distinct flows aggregated.\n# TYPE rlird_flows gauge\n")
-	p("rlird_flows %d\n", ts.Flows)
 	p("# HELP rlird_flows_tracked Flows currently tracked individually (excludes rollup tiers).\n# TYPE rlird_flows_tracked gauge\n")
 	p("rlird_flows_tracked %d\n", ts.Flows)
 	p("# HELP rlird_flows_evicted_total Flows folded into rollup tiers by the max-flows cap.\n# TYPE rlird_flows_evicted_total counter\n")

@@ -171,7 +171,7 @@ func TestServiceEndToEnd(t *testing.T) {
 	for _, want := range []string{
 		fmt.Sprintf("rlird_samples_total %d", len(samples)),
 		"rlird_records_total 1",
-		"rlird_flows 64",
+		"rlird_flows_tracked 64",
 		"rlird_ingest_samples_per_second",
 	} {
 		if !strings.Contains(metrics, want) {

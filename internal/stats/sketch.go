@@ -251,6 +251,29 @@ func (s *Sketch) SetState(st SketchState) {
 	}
 }
 
+// Validate checks the invariants every sketch built by Add and Merge keeps:
+// the counter window lies inside [0, SketchMaxBuckets) and the count is
+// exactly the zero bucket plus the window's counters. SetState would clamp
+// or trust a state that breaks them, so state from a wire peer must pass
+// Validate first — a peer claiming more mass than its buckets hold would
+// otherwise drag every merged quantile.
+func (st SketchState) Validate() error {
+	if st.Base < 0 || int(st.Base)+len(st.Buckets) > SketchMaxBuckets {
+		return fmt.Errorf("stats: sketch window [%d, %d) outside [0, %d)", st.Base, int(st.Base)+len(st.Buckets), SketchMaxBuckets)
+	}
+	sum := st.Zero
+	for _, c := range st.Buckets {
+		if sum+c < sum {
+			return fmt.Errorf("stats: sketch bucket mass overflows")
+		}
+		sum += c
+	}
+	if sum != st.Count {
+		return fmt.Errorf("stats: sketch count %d != zero %d + bucket mass %d", st.Count, st.Zero, sum-st.Zero)
+	}
+	return nil
+}
+
 // SketchFromState rebuilds a sketch from exported state (the generic
 // FromState round-trip).
 func SketchFromState(s SketchState) Sketch {

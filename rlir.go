@@ -243,33 +243,24 @@ func RunBaselines(scale Scale, util float64) BaselineResult {
 
 // ---- Localization (DESIGN.md L1, the paper's Figure 1 narrative) ----
 
-// LocalizationConfig is the T1->T7 per-segment localization scenario.
-type LocalizationConfig = experiments.LocalizationConfig
+// LocalizationConfig is L1: a fat-tree scenario spec carrying the fault,
+// plus the localizer's anomaly ratio.
+type LocalizationConfig = scenario.LocalizationConfig
 
 // LocalizationResult reports calibration, fault run and verdict.
-type LocalizationResult = experiments.LocalizationResult
+type LocalizationResult = scenario.Localization
 
-// AnomalySite places the injected fault.
-type AnomalySite = experiments.AnomalySite
-
-// Fault sites for RunLocalization.
-const (
-	AnomalyNone   = experiments.AnomalyNone
-	AnomalySrcAgg = experiments.AnomalySrcAgg
-	AnomalyDstAgg = experiments.AnomalyDstAgg
-)
-
-// DefaultLocalizationConfig returns the k=4 scenario with a fault at the
-// destination pod's aggregation layer.
+// DefaultLocalizationConfig returns the k=4 T1->T7 scenario with a fault at
+// the destination pod's aggregation layer.
 func DefaultLocalizationConfig() LocalizationConfig {
-	return experiments.DefaultLocalizationConfig()
+	return scenario.DefaultLocalizationConfig()
 }
 
-// RunLocalization measures per-core segments of one ToR-to-ToR path twice
-// (healthy, then with an injected fault) and reports which segments the
+// RunLocalization measures per-router segments of one ToR-to-ToR path twice
+// (healthy, then with the spec's faults) and reports which segments the
 // localizer flags.
-func RunLocalization(cfg LocalizationConfig) LocalizationResult {
-	return experiments.RunLocalization(cfg)
+func RunLocalization(cfg LocalizationConfig) (*LocalizationResult, error) {
+	return scenario.Localize(cfg)
 }
 
 // ---- Multi-seed sweeps (the concurrent measurement plane) ----
@@ -281,8 +272,8 @@ func RunLocalization(cfg LocalizationConfig) LocalizationResult {
 // internal/collector plane.
 
 // MultiOpts sizes a multi-seed sweep (Seeds default 8, Workers default
-// GOMAXPROCS).
-type MultiOpts = experiments.MultiOpts
+// GOMAXPROCS); figures, L1 and scenarios share it.
+type MultiOpts = runner.MultiOpts
 
 // MetricCI is one metric's across-seed mean ± 95% CI.
 type MetricCI = stats.MetricCI
@@ -353,11 +344,11 @@ func MultiBaselines(scale Scale, util float64, opts MultiOpts) BaselineCI {
 }
 
 // LocalizationCI re-records L1 across seeds.
-type LocalizationCI = experiments.LocalizationCI
+type LocalizationCI = scenario.LocalizationCI
 
 // MultiLocalization re-records the L1 scenario across seeds.
-func MultiLocalization(cfg LocalizationConfig, opts MultiOpts) LocalizationCI {
-	return experiments.MultiLocalization(cfg, opts)
+func MultiLocalization(cfg LocalizationConfig, opts MultiOpts) (*LocalizationCI, error) {
+	return scenario.MultiLocalize(cfg, opts)
 }
 
 // ---- Unified estimator layer (internal/measure) ----
@@ -470,9 +461,6 @@ type ScenarioTelemetryReport = scenario.TelemetryReport
 // under telemetry loss.
 type ScenarioTelemetryRow = scenario.TelemetryRow
 
-// ScenarioMultiOpts sizes a multi-seed scenario sweep.
-type ScenarioMultiOpts = scenario.MultiOpts
-
 // ScenarioMultiResult aggregates one scenario across seeds.
 type ScenarioMultiResult = scenario.MultiResult
 
@@ -510,7 +498,7 @@ func RunScenarioSeed(spec ScenarioSpec, seed int64) (*ScenarioResult, error) {
 
 // RunScenarioMulti sweeps one scenario spec across derived seeds in
 // parallel.
-func RunScenarioMulti(spec ScenarioSpec, opts ScenarioMultiOpts) (*ScenarioMultiResult, error) {
+func RunScenarioMulti(spec ScenarioSpec, opts MultiOpts) (*ScenarioMultiResult, error) {
 	return scenario.RunMulti(spec, opts)
 }
 

@@ -116,8 +116,12 @@ func TestPublicAPIFatTree(t *testing.T) {
 
 func TestPublicAPILocalization(t *testing.T) {
 	cfg := rlir.DefaultLocalizationConfig()
-	cfg.Duration = 80 * time.Millisecond
-	res := rlir.RunLocalization(cfg)
+	cfg.Spec.Duration = 80 * time.Millisecond
+	cfg.Spec.Faults[0].End = cfg.Spec.Duration
+	res, err := rlir.RunLocalization(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !res.Localized() {
 		t.Fatalf("localization via facade failed: %v", res.Anomalies)
 	}
